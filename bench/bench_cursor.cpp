@@ -24,7 +24,6 @@
 #include "minidb/sql/executor.h"
 #include "minidb/sql/row_batch.h"
 #include "obs/metrics.h"
-#include "util/tempdir.h"
 #include "util/timer.h"
 
 using namespace perftrack;
@@ -151,10 +150,8 @@ int main() {
   std::printf("%-13s %10s %10s %10s %12s %14s\n", "phase", "table", "rows",
               "ttfr_ms", "total_ms", "rss_growth_kb");
   for (const std::int64_t n : sizes) {
-    util::TempDir dir("pt_bench_cursor");
-    minidb::OpenOptions options;
-    options.durability = minidb::Durability::None;  // load speed, not the subject
-    auto conn = dbal::Connection::open(dir.file("bench.db").string(), options);
+    // In memory: the drain is the subject, and pages are resident either way.
+    auto conn = dbal::Connection::open(":memory:");
     conn->exec(
         "CREATE TABLE result (id INTEGER PRIMARY KEY, ctx INTEGER, "
         "metric INTEGER, value REAL, units TEXT)");

@@ -1,15 +1,9 @@
-// Durability ablation: what does the crash-safe commit path cost?
-//
-// With Durability::Full every commit writes before-images to the rollback
-// journal, fsyncs it, overwrites the db pages, fsyncs the db, and
-// invalidates the journal — two fsyncs and roughly 2x the page writes of
-// the legacy in-place path (Durability::None). Durability::Wal appends
-// redo frames and fsyncs once per commit, deferring the page overwrite to
-// a checkpoint. This bench ingests the same synthetic result batches
-// through the dbal prepared-statement hot path in all three modes and
-// reports rows/s, commit latency, and the overhead ratio, at two commit
-// granularities (the paper loads one execution per transaction; small
-// transactions amplify the per-commit fsync cost).
+// Commit cost of a file store: every commit appends redo frames to the
+// write-ahead log and fsyncs once, deferring the page overwrite to a
+// checkpoint. This bench ingests synthetic result batches through the dbal
+// prepared-statement hot path and reports rows/s and commit latency at two
+// commit granularities (the paper loads one execution per transaction;
+// small transactions amplify the per-commit fsync cost).
 //
 // A second sweep measures group commit: N concurrent committers running
 // begin -> INSERT -> commitDeferred under a writer lock but fsyncing
@@ -18,8 +12,8 @@
 // fsyncs per commit at each concurrency.
 //
 // PT_DURABILITY_JSON=<path>: also emit the rows as JSON (one object per
-// mode x batch-size cell) for scripts/bench_smoke.sh and before/after
-// comparisons.
+// cell: "wal" per batch size, "wal-group" per writer count) for
+// scripts/bench_smoke.sh and before/after comparisons.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,26 +43,16 @@ struct Cell {
   double ms_per_commit() const { return commits > 0 ? 1e3 * seconds / commits : 0.0; }
 };
 
-const char* modeName(minidb::Durability durability) {
-  switch (durability) {
-    case minidb::Durability::Full: return "full";
-    case minidb::Durability::Wal: return "wal";
-    default: return "none";
-  }
-}
-
-Cell runIngest(minidb::Durability durability, int batch_rows, int batches) {
+Cell runIngest(int batch_rows, int batches) {
   util::TempDir dir("pt_bench_dur");
-  minidb::OpenOptions options;
-  options.durability = durability;
-  auto conn = dbal::Connection::open(dir.file("bench.db").string(), options);
+  auto conn = dbal::Connection::open(dir.file("bench.db").string());
   conn->exec(
       "CREATE TABLE result (id INTEGER PRIMARY KEY, ctx INTEGER, metric INTEGER, "
       "value REAL, units TEXT)");
   conn->exec("CREATE INDEX result_by_ctx ON result (ctx)");
 
   Cell cell;
-  cell.mode = modeName(durability);
+  cell.mode = "wal";
   cell.batch_rows = batch_rows;
   const char* ins =
       "INSERT INTO result (ctx, metric, value, units) VALUES (?, ?, ?, ?)";
@@ -93,9 +77,7 @@ Cell runIngest(minidb::Durability durability, int batch_rows, int batches) {
 // one leader fsync. fsyncs/commit approaching 1/N is group commit working.
 Cell runGroupCommit(int writers, int commits_each) {
   util::TempDir dir("pt_bench_gc");
-  minidb::OpenOptions options;
-  options.durability = minidb::Durability::Wal;
-  auto db = minidb::Database::open(dir.file("gc.db").string(), options);
+  auto db = minidb::Database::open(dir.file("gc.db").string());
   minidb::sql::Engine ddl(*db);
   ddl.exec("CREATE TABLE result (id INTEGER PRIMARY KEY, v INTEGER)");
 
@@ -160,19 +142,11 @@ int main() {
   std::printf("%-9s %-11s %10s %10s %12s %14s\n", "mode", "batch", "rows",
               "seconds", "rows/s", "ms/commit");
   for (const auto& shape : shapes) {
-    Cell none = runIngest(minidb::Durability::None, shape.batch_rows, shape.batches);
-    Cell full = runIngest(minidb::Durability::Full, shape.batch_rows, shape.batches);
-    Cell wal = runIngest(minidb::Durability::Wal, shape.batch_rows, shape.batches);
-    for (const Cell& c : {none, full, wal}) {
-      std::printf("%-9s %5d x %-3d %10lld %10.3f %12.0f %14.3f\n", c.mode.c_str(),
-                  c.batch_rows, c.commits, static_cast<long long>(c.rows), c.seconds,
-                  c.rows_per_s(), c.ms_per_commit());
-      cells.push_back(c);
-    }
-    std::printf("  -> durability overhead: full %.2fx, wal %.2fx slower, batch=%d\n",
-                none.seconds > 0 ? full.seconds / none.seconds : 0.0,
-                none.seconds > 0 ? wal.seconds / none.seconds : 0.0,
-                shape.batch_rows);
+    const Cell c = runIngest(shape.batch_rows, shape.batches);
+    std::printf("%-9s %5d x %-3d %10lld %10.3f %12.0f %14.3f\n", c.mode.c_str(),
+                c.batch_rows, c.commits, static_cast<long long>(c.rows), c.seconds,
+                c.rows_per_s(), c.ms_per_commit());
+    cells.push_back(c);
   }
 
   // Group commit: per-commit latency and fsync sharing vs concurrency.

@@ -20,7 +20,6 @@
 
 #include "dbal/connection.h"
 #include "obs/metrics.h"
-#include "util/tempdir.h"
 #include "util/timer.h"
 
 using namespace perftrack;
@@ -51,10 +50,8 @@ double burst(dbal::Connection& conn, int queries) {
 }  // namespace
 
 int main() {
-  util::TempDir dir("pt_bench_obs");
-  minidb::OpenOptions options;
-  options.durability = minidb::Durability::None;  // load speed, not the subject
-  auto conn = dbal::Connection::open(dir.file("bench.db").string(), options);
+  // In memory: the query path is the subject, and pages are resident either way.
+  auto conn = dbal::Connection::open(":memory:");
   conn->exec("CREATE TABLE kv (id INTEGER PRIMARY KEY, v INTEGER)");
   conn->begin();
   for (std::int64_t i = 0; i < kTableRows; ++i) {

@@ -15,18 +15,20 @@
 #                     full 1M-row acceptance sweep.
 #   BENCH_table1.json per-dataset ingest rows from bench_table1_ingest
 #                     (Table 1 load path: results/exec, DB growth, load time)
-#   BENCH_durability.json ingest throughput across none/full/wal durability
-#                     from bench_durability (rows/s, ms/commit), plus the
-#                     wal-group cells: group-commit fsync sharing at
-#                     1/2/4/8 concurrent committers (fsyncs_per_commit)
+#   BENCH_durability.json WAL ingest throughput from bench_durability (the
+#                     "wal" cells: rows/s, ms/commit at a bulk and a chatty
+#                     commit size), plus the wal-group cells: group-commit
+#                     fsync sharing at 1/2/4/8 concurrent committers
+#                     (fsyncs_per_commit). WAL is the only commit mode, so
+#                     the none/full cells are gone
 #   BENCH_cursor.json streamed (row-at-a-time) vs batched (fetchBatch) vs
 #                     materialized result drains from bench_cursor
 #                     (time-to-first-row, peak-RSS growth, row-vs-batch A/B)
 #   BENCH_server.json ptserverd under N concurrent clients from bench_server
 #                     (requests/s and p50/p99 latency, plus a streamed scan
-#                     and the read_during_commit_{full,wal} pair: reader
-#                     stall behind a committing writer, exclusive gate vs
-#                     WAL snapshot reads)
+#                     and the read_during_commit_wal cell: reader latency
+#                     beside a committing writer under snapshot reads; the
+#                     exclusive-gate _full cell went with the journal)
 #   BENCH_obs.json    observability overhead A/B from bench_obs (tracing
 #                     on/off ns per point-SELECT, overhead %, 2% budget)
 #   BENCH_resource_match.json

@@ -1,17 +1,15 @@
 // ptdfload — load PTdf files into a PerfTrack data store.
 //
-// Usage: ptdfload [--durability=full|wal|none] [--wal-autocheckpoint <n>]
-//                 <database|:memory:> <file.ptdf>...
+// Usage: ptdfload [--wal-autocheckpoint <n>] <database|:memory:> <file.ptdf>...
 // Initializes the store (schema + base types) if needed, loads each file in
 // one transaction, and prints per-file and final store statistics.
 //
-// --durability=full (default) commits through the rollback journal with
-// fsync ordering, so a crash mid-load rolls back to the last loaded file on
-// the next open; --durability=wal commits through a write-ahead log
-// (checkpointed every --wal-autocheckpoint frames, default 512); and
-// --durability=none is the fast, crash-unsafe legacy path. If the previous
-// process died mid-commit, opening the store rolls the hot journal back (or
-// replays the committed WAL prefix) and a "recovered" line reports it.
+// Each file's transaction commits through the store's write-ahead log
+// (checkpointed every --wal-autocheckpoint frames, default 512), so a crash
+// mid-load leaves the store at the last loaded file. If the previous
+// process died mid-commit, opening the store replays the committed WAL
+// prefix (or rolls back a hot journal left by an earlier build) and a
+// "recovered" line reports it.
 //
 // PT_DEBUG_CRASH_AT=<n> (testing hook, used by scripts/crash_kill_test.sh):
 // SIGKILL the process at the n-th disk write/sync/truncate, leaving a
@@ -33,13 +31,7 @@ int main(int argc, char** argv) {
   int arg = 1;
   while (arg < argc && std::string(argv[arg]).rfind("--", 0) == 0) {
     const std::string flag = argv[arg];
-    if (flag == "--durability=full") {
-      options.durability = minidb::Durability::Full;
-    } else if (flag == "--durability=wal") {
-      options.durability = minidb::Durability::Wal;
-    } else if (flag == "--durability=none") {
-      options.durability = minidb::Durability::None;
-    } else if (flag == "--wal-autocheckpoint" && arg + 1 < argc) {
+    if (flag == "--wal-autocheckpoint" && arg + 1 < argc) {
       options.wal_autocheckpoint = static_cast<std::uint32_t>(
           std::strtoul(argv[++arg], nullptr, 10));
     } else {
@@ -50,8 +42,8 @@ int main(int argc, char** argv) {
   }
   if (argc - arg < 2) {
     std::fprintf(stderr,
-                 "usage: %s [--durability=full|wal|none] [--wal-autocheckpoint n] "
-                 "<database|:memory:> <file.ptdf>...\n",
+                 "usage: %s [--wal-autocheckpoint n] <database|:memory:> "
+                 "<file.ptdf>...\n",
                  argv[0]);
     return 2;
   }
@@ -69,7 +61,7 @@ int main(int argc, char** argv) {
     const auto& recovery = conn->recoveryStats();
     if (recovery.recovered) {
       std::printf("recovered: rolled back %u page(s) from a hot journal "
-                  "(previous load crashed mid-commit)\n",
+                  "(an earlier build crashed mid-commit)\n",
                   recovery.pages_restored);
     }
     if (recovery.wal_replayed) {

@@ -14,12 +14,6 @@
 //     --max-conn <n>          connection cap; excess gets a BUSY frame
 //     --idle-timeout <ms>     reap connections idle this long (0 disables)
 //     --lock-timeout <ms>     gate acquisition budget before BUSY
-//     --durability=full|wal|none
-//                             storage durability mode (default full). wal
-//                             commits through a write-ahead log: SELECTs
-//                             read pinned snapshots while writers commit,
-//                             and concurrent commits share fsyncs (group
-//                             commit)
 //     --wal-autocheckpoint <n>
 //                             fold the WAL back into the db file once it
 //                             holds n frames (default 512; 0 disables)
@@ -41,6 +35,12 @@
 // port. SIGTERM/SIGINT trigger a graceful drain: in-flight requests finish,
 // their responses are sent, open cursors release their locks, and the
 // store closes cleanly.
+//
+// The store commits through its write-ahead log: SELECTs read pinned
+// snapshots while writers commit, and concurrent commits share fsyncs
+// (group commit). The daemon holds the store file locked while it runs, so
+// a local opener (`ptquery store.db ...`) fails with "is open in another
+// process" instead of recovering the live WAL; use --connect instead.
 //
 // PT_DEBUG_CRASH_AT=<n> (testing hook, used by scripts/server_kill_test.sh):
 // SIGKILL the daemon at the n-th disk write/sync/truncate, leaving a
@@ -82,8 +82,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen host:port] [--unix path] [--workers n]\n"
                "       [--max-conn n] [--idle-timeout ms] [--lock-timeout ms]\n"
-               "       [--durability=full|wal|none] [--wal-autocheckpoint n]\n"
-               "       [--no-remote-shutdown]\n"
+               "       [--wal-autocheckpoint n] [--no-remote-shutdown]\n"
                "       [--metrics-port n] [--slow-query-ms ms] [--exec-threads n]\n"
                "       [--invidx 0|1] <database|:memory:>\n",
                argv0);
@@ -136,12 +135,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--lock-timeout") {
       config.limits.lock_timeout =
           std::chrono::milliseconds(std::atol(nextValue("--lock-timeout")));
-    } else if (flag == "--durability=full") {
-      options.durability = minidb::Durability::Full;
-    } else if (flag == "--durability=wal") {
-      options.durability = minidb::Durability::Wal;
-    } else if (flag == "--durability=none") {
-      options.durability = minidb::Durability::None;
     } else if (flag == "--wal-autocheckpoint") {
       options.wal_autocheckpoint = static_cast<std::uint32_t>(
           std::strtoul(nextValue("--wal-autocheckpoint"), nullptr, 10));
@@ -189,7 +182,7 @@ int main(int argc, char** argv) {
     if (recovery.recovered) {
       std::fprintf(stderr,
                    "ptserverd: recovered: rolled back %u page(s) from a hot "
-                   "journal (previous process crashed mid-commit)\n",
+                   "journal (an earlier build crashed mid-commit)\n",
                    recovery.pages_restored);
     }
     if (recovery.wal_replayed) {

@@ -608,7 +608,7 @@ ServerStat RemoteConnection::serverStat() {
     s.uptime_ms = r.u64();
     s.open_cursors = r.u32();
     s.db_file_bytes = r.u64();
-    s.journal_bytes = r.u64();
+    (void)r.u64();  // reserved slot (was journal_bytes), always 0
     s.busy_rejections = r.u64();
     // Second append-only extension (WAL-capable servers).
     if (!r.atEnd()) s.wal_bytes = r.u64();

@@ -7,7 +7,7 @@
 // base class:
 //
 //   * autocommit only: begin()/commit()/rollback() throw (the server wraps
-//     each mutating statement in its own journal-protected commit);
+//     each mutating statement in its own atomic commit);
 //   * statements are cached server-side, keyed client-side by SQL text;
 //     the cache introspection surface reports the remote handle count;
 //   * SELECT cursors stream bounded row batches (FETCH) from a server-side
@@ -52,7 +52,6 @@ struct ServerStat {
   std::uint64_t uptime_ms = 0;
   std::uint32_t open_cursors = 0;
   std::uint64_t db_file_bytes = 0;
-  std::uint64_t journal_bytes = 0;
   std::uint64_t busy_rejections = 0;
   std::uint64_t wal_bytes = 0;  // 0 from pre-WAL servers
 };

@@ -14,8 +14,8 @@ std::unique_ptr<Database> Database::open(const std::string& path) {
 
 std::unique_ptr<Database> Database::open(const std::string& path,
                                          const OpenOptions& options) {
-  return std::make_unique<Database>(std::make_unique<FilePager>(
-      path, options.durability, options.vfs, options.wal_autocheckpoint));
+  return std::make_unique<Database>(
+      std::make_unique<FilePager>(path, options.vfs, options.wal_autocheckpoint));
 }
 
 std::unique_ptr<Database> Database::openMemory() {

@@ -26,16 +26,17 @@
 
 namespace perftrack::minidb {
 
-/// Storage-layer open options (durability mode, VFS override).
+/// Storage-layer open options (VFS override, WAL autocheckpoint).
 struct OpenOptions {
-  Durability durability = Durability::Full;
+  /// Always Durability::Wal, the only mode; kept only for perfbench, which
+  /// sets it (see Durability).
+  Durability durability = Durability::Wal;
   /// All file operations route through this VFS when set (borrowed, must
   /// outlive the Database). Defaults to the real filesystem; the crash
   /// tests pass a FaultInjectingVfs here.
   Vfs* vfs = nullptr;
-  /// WAL mode only: checkpoint automatically before a commit once the log
-  /// holds this many frames (0 = never checkpoint automatically). Ignored in
-  /// other durability modes.
+  /// Checkpoint automatically before a commit once the WAL holds this many
+  /// frames (0 = never checkpoint automatically).
   std::uint32_t wal_autocheckpoint = kDefaultWalAutoCheckpoint;
 };
 
@@ -133,7 +134,8 @@ class Database {
     std::optional<BTree::Iterator> it_;
   };
 
-  /// Opens (or creates) a file-backed database with full durability.
+  /// Opens (or creates) a file-backed, WAL-committed database. Throws
+  /// StorageError when another opener holds the file.
   static std::unique_ptr<Database> open(const std::string& path);
   /// Opens (or creates) a file-backed database with explicit options.
   static std::unique_ptr<Database> open(const std::string& path,
@@ -230,28 +232,25 @@ class Database {
   /// guarantees that by excluding readers during schema changes.
   Pager::ReadSnapshot takeSnapshot() const { return pager_->beginSnapshot(); }
 
-  /// This database's durability mode (None for in-memory stores).
-  Durability durability() const { return pager_->durability(); }
-
   // --- transactions ---------------------------------------------------------
   void begin();
   void commit();
   void rollback();
   bool inTransaction() const { return pager_->inTransaction(); }
 
-  /// Commits like commit(), but in WAL mode the fsync is deferred: the
-  /// returned LSN must be passed to waitDurable() before the commit is
-  /// acknowledged to a client. Concurrent committers' waitDurable() calls
-  /// batch into one fsync behind a leader (group commit). Returns 0 when the
-  /// commit is already durable (non-WAL modes, or nothing to write).
+  /// Commits like commit(), but the fsync is deferred: the returned LSN must
+  /// be passed to waitDurable() before the commit is acknowledged to a
+  /// client. Concurrent committers' waitDurable() calls batch into one fsync
+  /// behind a leader (group commit). Returns 0 when the commit is already
+  /// durable (in-memory stores, or nothing to write).
   std::uint64_t commitDeferred();
 
   /// Blocks until the commit identified by `lsn` (from commitDeferred) is on
   /// stable storage. Safe to call without any lock held.
   void waitDurable(std::uint64_t lsn) { pager_->waitDurable(lsn); }
 
-  /// WAL mode: folds the log into the db file and resets it. Not allowed
-  /// inside a transaction; no-op in other modes.
+  /// Folds the WAL into the db file and resets it. Not allowed inside a
+  /// transaction; no-op for in-memory stores.
   void checkpoint() { pager_->checkpoint(); }
 
   /// Rewrites every table's heap (dropping tombstones and dead payload
@@ -268,7 +267,7 @@ class Database {
   /// Persists all dirty pages (implicit on destruction for file backends).
   void flush() { pager_->flush(); }
 
-  /// What hot-journal recovery (if any) happened when the store was opened.
+  /// What recovery (if any) happened when the store was opened.
   const RecoveryStats& recoveryStats() const { return pager_->recoveryStats(); }
 
   /// Logical database size in bytes (Table 1 "DB size increase" metric).
@@ -277,10 +276,7 @@ class Database {
   /// On-disk db file size in bytes (0 for in-memory backends).
   std::uint64_t fileSizeBytes() const { return pager_->fileSizeBytes(); }
 
-  /// Size of the sidecar rollback journal, or 0 when absent/in-memory.
-  std::uint64_t journalSizeBytes() const { return pager_->journalSizeBytes(); }
-
-  /// Bytes of valid write-ahead log, or 0 when absent/not in WAL mode.
+  /// Bytes of valid write-ahead log, or 0 when absent/in-memory.
   std::uint64_t walSizeBytes() const { return pager_->walSizeBytes(); }
 
   Pager& pager() { return *pager_; }

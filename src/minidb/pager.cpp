@@ -25,7 +25,6 @@ struct PagerCounters {
   obs::Counter& pages_freed;
   obs::Counter& pages_loaded;
   obs::Counter& disk_page_writes;
-  obs::Counter& journal_fsyncs;
   obs::Counter& db_fsyncs;
   obs::Counter& commits;
   obs::Histogram& commit_ms;
@@ -46,7 +45,6 @@ PagerCounters& pagerCounters() {
       reg.counter("pt_pager_pages_freed_total"),
       reg.counter("pt_pager_pages_loaded_total"),
       reg.counter("pt_pager_disk_page_writes_total"),
-      reg.counter("pt_pager_journal_fsyncs_total"),
       reg.counter("pt_pager_db_fsyncs_total"),
       reg.counter("pt_pager_commits_total"),
       reg.histogram("pt_pager_commit_ms"),
@@ -388,15 +386,18 @@ void Pager::rollbackJournal() {
 
 // --- FilePager ---------------------------------------------------------------
 
-FilePager::FilePager(std::string path, Durability durability, Vfs* vfs,
-                     std::uint32_t wal_autocheckpoint)
+FilePager::FilePager(std::string path, Vfs* vfs, std::uint32_t wal_autocheckpoint)
     : path_(std::move(path)),
       journal_path_(journalPathFor(path_)),
       wal_path_(walPathFor(path_)),
-      durability_(durability),
       vfs_(vfs != nullptr ? vfs : &PosixVfs::instance()),
       wal_autocheckpoint_(wal_autocheckpoint) {
   file_ = vfs_->open(path_, /*create=*/true);
+  // Recovery below rewrites the db file and removes the WAL: it must never
+  // run against a store another pager is still committing to.
+  if (!file_->tryLockExclusive()) {
+    throw StorageError(path_ + " is open in another process");
+  }
   recoverHotJournal();
   recoverWal();
   loadFromDisk();
@@ -409,12 +410,10 @@ FilePager::~FilePager() {
     flush();
     // A clean close folds the WAL away: a leftover `<db>.wal` means the
     // process died, and open-time recovery replays it.
-    if (durability_ == Durability::Wal) {
-      checkpointWal();
-      if (wal_) {
-        wal_.reset();
-        vfs_->remove(wal_path_);
-      }
+    checkpointWal();
+    if (wal_) {
+      wal_.reset();
+      vfs_->remove(wal_path_);
     }
   } catch (...) {
     // Destructors must not throw; data loss here is reported by explicit
@@ -452,6 +451,8 @@ void FilePager::loadFromDisk() {
 }
 
 void FilePager::recoverHotJournal() {
+  // Only builds that predate WAL-only commits wrote journals; this is a
+  // one-time rollback of a crash those builds left behind.
   if (!vfs_->exists(journal_path_)) return;
   auto jf = vfs_->open(journal_path_, /*create=*/false);
   const std::uint64_t jsize = jf->size();
@@ -569,138 +570,18 @@ void FilePager::recoverWal() {
   if (tail_discarded || !pending.empty()) recovery_stats_.discarded_invalid_wal = true;
 }
 
-void FilePager::flush() {
-  if (durability_ == Durability::Wal) {
-    flushWal(/*defer=*/false);
-    return;
-  }
-  if (dirty_.empty()) {
-    publishIfChanged();
-    return;
-  }
-  if (durability_ == Durability::Full) {
-    flushDurable();
-  } else {
-    flushInPlace();
-  }
-}
+void FilePager::flush() { flushWal(/*defer=*/false); }
 
-std::uint64_t FilePager::flushAsync() {
-  if (durability_ == Durability::Wal) return flushWal(/*defer=*/true);
-  flush();
-  return 0;
-}
+std::uint64_t FilePager::flushAsync() { return flushWal(/*defer=*/true); }
 
 void FilePager::waitDurable(std::uint64_t lsn) {
-  if (durability_ != Durability::Wal || lsn == 0) return;
-  syncWalTo(lsn);
+  if (lsn != 0) syncWalTo(lsn);
 }
 
-void FilePager::checkpoint() {
-  if (durability_ == Durability::Wal) checkpointWal();
-}
+void FilePager::checkpoint() { checkpointWal(); }
 
 std::uint64_t FilePager::fileSizeBytes() const {
   return file_->size();
-}
-
-std::uint64_t FilePager::journalSizeBytes() const {
-  if (!vfs_->exists(journal_path_)) return 0;
-  return vfs_->open(journal_path_, /*create=*/false)->size();
-}
-
-std::uint64_t FilePager::walSizeBytes() const {
-  if (durability_ == Durability::Wal) return wal_end_.load(std::memory_order_relaxed);
-  if (!vfs_->exists(wal_path_)) return 0;
-  return vfs_->open(wal_path_, /*create=*/false)->size();
-}
-
-void FilePager::flushInPlace() {
-  const std::uint32_t count = header().page_count;
-  std::uint64_t written = 0;
-  for (PageId id : dirty_) {
-    if (id >= count || !pages_[id]) continue;  // freed/rolled-back page
-    file_->write(std::uint64_t{id} * kPageSize, pages_[id]->data(), kPageSize);
-    ++written;
-  }
-  pagerCounters().disk_page_writes.inc(written);
-  dirty_.clear();
-  publishIfChanged();
-}
-
-void FilePager::flushDurable() {
-  const obs::StageTimer commit_timer;
-  // A journal left behind by an earlier failed flush describes the last
-  // committed on-disk state; roll the file back to it before starting over.
-  // dirty_ still covers every page changed since that state, so the retry
-  // rewrites everything the failed attempt did.
-  if (vfs_->exists(journal_path_)) {
-    RecoveryStats saved = recovery_stats_;
-    recoverHotJournal();
-    recovery_stats_ = saved;  // open-time stats, not flush-retry noise
-  }
-
-  const std::uint32_t count = header().page_count;
-  std::vector<PageId> to_write;
-  for (PageId id : dirty_) {
-    if (id < count && id < pages_.size() && pages_[id]) to_write.push_back(id);
-  }
-  if (to_write.empty()) {
-    dirty_.clear();
-    publishIfChanged();
-    return;
-  }
-  std::sort(to_write.begin(), to_write.end());
-
-  // 1. Journal the before-images of every committed page we will overwrite.
-  //    Pages past the current end of file need no image: rollback truncates.
-  const std::uint64_t disk_pages = file_->size() / kPageSize;
-  std::vector<std::uint8_t> records;
-  std::uint32_t journaled = 0;
-  for (PageId id : to_write) {
-    if (std::uint64_t{id} >= disk_pages) continue;
-    const std::size_t at = records.size();
-    records.resize(at + kJournalRecordSize);
-    std::memcpy(records.data() + at, &id, sizeof(id));
-    if (file_->read(std::uint64_t{id} * kPageSize, records.data() + at + sizeof(id),
-                    kPageSize) != kPageSize) {
-      throw StorageError("FilePager: short read of before-image from " + path_);
-    }
-    ++journaled;
-  }
-  JournalHeader jh{kJournalMagic, kJournalVersion, journaled,
-                   static_cast<std::uint32_t>(disk_pages),
-                   fnv1a(records.data(), records.size())};
-  std::vector<std::uint8_t> jbuf(sizeof(jh) + records.size());
-  std::memcpy(jbuf.data(), &jh, sizeof(jh));
-  if (!records.empty()) {  // data() of an empty vector may be null
-    std::memcpy(jbuf.data() + sizeof(jh), records.data(), records.size());
-  }
-
-  auto jf = vfs_->open(journal_path_, /*create=*/true);
-  jf->write(0, jbuf.data(), jbuf.size());
-  jf->sync();
-  pagerCounters().journal_fsyncs.inc();
-
-  // 2. Write the new pages in place, then force them to stable storage.
-  for (PageId id : to_write) {
-    file_->write(std::uint64_t{id} * kPageSize, pages_[id]->data(), kPageSize);
-  }
-  file_->sync();
-  pagerCounters().db_fsyncs.inc();
-
-  // 3. Commit point: invalidate the journal. Truncating to zero commits even
-  //    if the remove below never happens (an empty journal is discarded on
-  //    open).
-  jf->truncate(0);
-  jf.reset();
-  vfs_->remove(journal_path_);
-  dirty_.clear();
-  publishIfChanged();
-  pagerCounters().disk_page_writes.inc(to_write.size());
-  pagerCounters().commits.inc();
-  pagerCounters().commit_ms.observe(
-      static_cast<double>(commit_timer.elapsedUs()) / 1000.0);
 }
 
 // --- WAL ---------------------------------------------------------------------

@@ -18,28 +18,26 @@
 //   * durability: FilePager persists dirty pages to a backing file on flush();
 //     MemPager keeps everything in memory (the PerfTrack "in-memory backend").
 //
-// With Durability::Full (the default), flush() is an atomic commit protected
-// by an on-disk rollback journal (`<db>.journal`): before-images of every
-// page about to be overwritten are written to the journal and fsynced, then
-// the pages are written in place and the database fsynced, and only then is
-// the journal invalidated (truncated and removed). A crash at any point
-// leaves either the new state (journal gone) or enough information to roll
-// back to the last committed state; FilePager detects a hot journal on open
-// and replays it before loading. Durability::None keeps the legacy
-// behavior — in-place rewrite, no journal, no fsync — for scratch stores and
-// the durability-ablation benchmarks.
-//
-// Durability::Wal replaces the rollback journal with a write-ahead log
-// (`<db>.wal`): flush() appends the dirty pages as checksummed frames (the
-// last frame of each commit carries the new page count and acts as the
-// commit marker), so a commit never rewrites the database file and a crash
-// at any point leaves a committed prefix — recovery replays every complete,
-// checksum-chained commit from the WAL into the db file and discards the
-// torn tail. A checkpoint folds the WAL back into the db file when no pinned
-// snapshot still needs the old frames. Commit fsyncs support group commit:
+// FilePager commits through a write-ahead log (`<db>.wal`): flush() appends
+// the dirty pages as checksummed frames (the last frame of each commit
+// carries the new page count and acts as the commit marker), so a commit
+// never rewrites the database file and a crash at any point leaves a
+// committed prefix — recovery replays every complete, checksum-chained
+// commit from the WAL into the db file and discards the torn tail. A
+// checkpoint folds the WAL back into the db file when no pinned snapshot
+// still needs the old frames. Commit fsyncs support group commit:
 // flushAsync() appends + publishes without syncing and returns an LSN;
 // concurrent committers calling waitDurable(lsn) elect a leader that batches
 // every appended commit into one fsync.
+//
+// Stores written by earlier builds may carry a hot rollback journal
+// (`<db>.journal`) from a crash mid-commit. Opening such a store rolls the
+// journal back once, before the WAL is replayed; nothing writes journals
+// any more.
+//
+// A FilePager holds an exclusive advisory lock on its db file for its whole
+// lifetime, so a second opener (another process, or another FilePager in
+// this one) fails instead of "recovering" the live WAL underneath it.
 //
 // This mirrors the role PostgreSQL/Oracle played for the paper: a real paged
 // storage substrate underneath the relational schema.
@@ -77,8 +75,9 @@ struct DbHeader {
 inline constexpr std::uint32_t kDbMagic = 0x50544442;  // "PTDB"
 inline constexpr std::uint32_t kDbVersion = 1;
 
-/// On-disk header of the rollback journal (`<db>.journal`). Followed by
-/// `page_count` records of {u32 page_id, u8[kPageSize] before-image}.
+/// On-disk header of a legacy rollback journal (`<db>.journal`), as written
+/// by earlier builds. Followed by `page_count` records of {u32 page_id,
+/// u8[kPageSize] before-image}. Read only by open-time recovery.
 struct JournalHeader {
   std::uint32_t magic;            // 'PTDJ'
   std::uint32_t version;
@@ -118,16 +117,16 @@ inline constexpr std::size_t kWalFrameSize = sizeof(WalFrameHeader) + kPageSize;
 /// holds this many frames (and no snapshot pins an older version).
 inline constexpr std::uint32_t kDefaultWalAutoCheckpoint = 512;
 
-/// How flush() makes a commit reach the disk.
+/// How a file store commits. The write-ahead log is the only mode: this enum
+/// and OpenOptions::durability exist only because the workflow benchmark
+/// (perfbench/src/main.cpp) sets `options.durability = Durability::Wal`.
 enum class Durability {
-  None,  // in-place rewrite, no journal, no fsync (fast, crash-unsafe)
-  Full,  // rollback journal + fsync ordering; crash leaves last committed state
-  Wal,   // write-ahead log: append-only commits, snapshot reads, group commit
+  Wal,  // write-ahead log: append-only commits, snapshot reads, group commit
 };
 
 /// What (if anything) happened to hot journal/WAL files found at open.
 struct RecoveryStats {
-  bool recovered = false;        // before-images were rolled back into the db
+  bool recovered = false;        // legacy journal rolled back into the db
   std::uint32_t pages_restored = 0;
   bool discarded_invalid_journal = false;  // torn/empty journal: db untouched
   bool wal_replayed = false;               // committed WAL frames folded into the db
@@ -276,10 +275,10 @@ class Pager {
   /// against the last committed on-disk state.
   virtual void flush() { publishIfChanged(); }
 
-  /// Like flush(), but in WAL mode the commit fsync is deferred: frames are
-  /// appended and the commit is published to readers, and the returned LSN
-  /// must be passed to waitDurable() before the commit is acknowledged.
-  /// Returns 0 when nothing remains to sync (non-WAL modes sync inline).
+  /// Like flush(), but the commit fsync is deferred: frames are appended and
+  /// the commit is published to readers, and the returned LSN must be passed
+  /// to waitDurable() before the commit is acknowledged. Returns 0 when
+  /// nothing remains to sync (always, for the in-memory backend).
   virtual std::uint64_t flushAsync() {
     flush();
     return 0;
@@ -289,14 +288,11 @@ class Pager {
   /// Concurrent callers batch behind a leader into one fsync (group commit).
   virtual void waitDurable(std::uint64_t /*lsn*/) {}
 
-  /// WAL mode: folds the log back into the db file and resets it. Throws
-  /// when called inside a transaction; no-op in other modes. Safe to call
+  /// Folds the WAL back into the db file and resets it. Throws when called
+  /// inside a transaction; no-op for the in-memory backend. Safe to call
   /// with snapshots pinned — they keep reading their pinned buffers — but
   /// automatic checkpoints are deferred while any snapshot is live.
   virtual void checkpoint() {}
-
-  /// This pager's durability mode (None for MemPager).
-  virtual Durability durability() const { return Durability::None; }
 
   /// Hot journal/WAL recovery outcome of open (all-false for MemPager and
   /// for clean opens).
@@ -306,10 +302,7 @@ class Pager {
   /// differ from sizeBytes() until the next flush.
   virtual std::uint64_t fileSizeBytes() const { return 0; }
 
-  /// Size of the sidecar rollback journal, or 0 when absent/in-memory.
-  virtual std::uint64_t journalSizeBytes() const { return 0; }
-
-  /// Bytes of valid write-ahead log, or 0 when absent/not in WAL mode.
+  /// Bytes of valid write-ahead log, or 0 when absent/in-memory.
   virtual std::uint64_t walSizeBytes() const { return 0; }
 
  protected:
@@ -369,17 +362,17 @@ class MemPager final : public Pager {
   }
 };
 
-/// File-backed pager. Loads the whole file on open (replaying a stale WAL
-/// and rolling back a hot journal first, if present); flush() persists dirty
-/// pages according to the durability mode.
+/// File-backed pager. Loads the whole file on open (rolling back a legacy
+/// hot journal and replaying a stale WAL first, if present); flush() appends
+/// dirty pages to the WAL.
 class FilePager final : public Pager {
  public:
-  /// Opens (or creates) the database file at `path`. All disk operations go
-  /// through `vfs` (default: the real filesystem), which is how the crash
-  /// tests inject faults. `wal_autocheckpoint` is the WAL auto-checkpoint
-  /// threshold in frames (0 disables automatic checkpoints).
-  explicit FilePager(std::string path, Durability durability = Durability::Full,
-                     Vfs* vfs = nullptr,
+  /// Opens (or creates) the database file at `path` and locks it; throws
+  /// StorageError when another opener holds the lock. All disk operations
+  /// go through `vfs` (default: the real filesystem), which is how the
+  /// crash tests inject faults. `wal_autocheckpoint` is the WAL
+  /// auto-checkpoint threshold in frames (0 disables automatic checkpoints).
+  explicit FilePager(std::string path, Vfs* vfs = nullptr,
                      std::uint32_t wal_autocheckpoint = kDefaultWalAutoCheckpoint);
   ~FilePager() override;
 
@@ -389,18 +382,18 @@ class FilePager final : public Pager {
   void checkpoint() override;
 
   std::uint64_t fileSizeBytes() const override;
-  std::uint64_t journalSizeBytes() const override;
-  std::uint64_t walSizeBytes() const override;
+  std::uint64_t walSizeBytes() const override {
+    return wal_end_.load(std::memory_order_relaxed);
+  }
 
   const std::string& path() const { return path_; }
-  Durability durability() const override { return durability_; }
 
   /// Number of frames currently in the WAL (0 after a checkpoint).
   std::uint32_t walFrameCount() const {
     return wal_frames_.load(std::memory_order_relaxed);
   }
 
-  /// Sidecar rollback-journal path for a database file.
+  /// Legacy rollback-journal path for a database file.
   static std::string journalPathFor(const std::string& db_path) {
     return db_path + ".journal";
   }
@@ -412,15 +405,13 @@ class FilePager final : public Pager {
 
  private:
   void loadFromDisk();
-  /// Rolls a hot (valid, non-empty) journal back into the db file; discards
-  /// torn or empty journals. Updates recovery_stats_.
+  /// Rolls a hot (valid, non-empty) legacy journal back into the db file;
+  /// discards torn or empty journals. Updates recovery_stats_.
   void recoverHotJournal();
   /// Replays every complete committed transaction from a leftover WAL into
   /// the db file, discards the torn tail, and removes the WAL. Updates
   /// recovery_stats_.
   void recoverWal();
-  void flushDurable();
-  void flushInPlace();
   /// WAL commit: appends dirty pages as frames and publishes the new page
   /// table. Returns the commit's LSN (0 if nothing to commit). When `defer`
   /// is false the WAL is fsynced before returning.
@@ -434,7 +425,6 @@ class FilePager final : public Pager {
   std::string path_;
   std::string journal_path_;
   std::string wal_path_;
-  Durability durability_;
   Vfs* vfs_;
   std::unique_ptr<VfsFile> file_;
 

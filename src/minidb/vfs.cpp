@@ -1,6 +1,7 @@
 #include "minidb/vfs.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -75,6 +76,17 @@ class PosixFile final : public VfsFile {
       throw StorageError("seek failed on " + path_ + ": " + std::strerror(errno));
     }
     return static_cast<std::uint64_t>(end);
+  }
+
+  bool tryLockExclusive() override {
+    // flock locks belong to the open file description, so a second open of
+    // the same path conflicts even within one process.
+    while (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+      if (errno == EINTR) continue;
+      if (errno == EWOULDBLOCK) return false;
+      throw StorageError("lock failed on " + path_ + ": " + std::strerror(errno));
+    }
+    return true;
   }
 
  private:
@@ -155,6 +167,8 @@ class FaultInjectingFile final : public VfsFile {
   }
 
   std::uint64_t size() override { return base_->size(); }
+
+  bool tryLockExclusive() override { return base_->tryLockExclusive(); }
 
  private:
   FaultInjectingVfs* owner_;

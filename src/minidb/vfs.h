@@ -15,7 +15,7 @@
 //     recovery restores the last committed state each time.
 //
 // The injected failure can also be a real SIGKILL (FaultAction::Kill), used
-// by scripts/crash_kill_test.sh to produce a genuine hot journal from a
+// by scripts/crash_kill_test.sh to produce a genuine stale WAL from a
 // process that dies mid-ingest.
 #pragma once
 
@@ -57,6 +57,11 @@ class VfsFile {
 
   /// Current file length in bytes.
   virtual std::uint64_t size() = 0;
+
+  /// Takes an exclusive advisory lock on the file, held until this handle is
+  /// destroyed. Returns false, without blocking, when another handle (in
+  /// this process or another) already holds it.
+  virtual bool tryLockExclusive() = 0;
 };
 
 class Vfs {
@@ -87,7 +92,7 @@ class PosixVfs final : public Vfs {
 /// What happens when the planned fault point is reached.
 enum class FaultAction {
   Throw,  // throw InjectedFault (in-process crash simulation)
-  Kill,   // raise(SIGKILL): a real crash, for the hot-journal CLI test
+  Kill,   // raise(SIGKILL): a real crash, for the CLI crash-recovery tests
 };
 
 /// Deterministic fault plan: mutating operations (write/sync/truncate) are

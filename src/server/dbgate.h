@@ -1,14 +1,19 @@
 // ptserverd concurrency gate.
 //
-// One minidb Database is single-writer / multi-reader safe only by
-// convention: the read paths (catalog lookups, heap/B+-tree scans, the
-// Volcano pipeline) never mutate shared state, while DML/DDL/VACUUM rewrite
-// pages in place. DbGate turns that convention into a runtime guarantee: a
-// reader/writer gate that every server request passes through.
+// One minidb Database has a single writer side, and its readers stay safe
+// only under a rule: every SELECT reads a pinned storage snapshot (an
+// immutable committed page table), so a DML writer committing underneath it
+// cannot disturb it, while DDL and VACUUM rewrite the catalog and move pages
+// under every version. DbGate turns that rule into a runtime guarantee with
+// three holds that every server request passes through:
+//   * shared (readers): conflicts only with the exclusive hold;
+//   * write (DML): excludes other writers and the exclusive hold, never
+//     readers — SELECTs stream while commits land;
+//   * exclusive (schema): waits for every reader and writer to drain.
 //
 // It differs from std::shared_mutex in three server-specific ways:
-//   * Acquisition takes a timeout. A writer that cannot start because
-//     cursors are pinned open (or a reader blocked behind a queued writer)
+//   * Acquisition takes a timeout. A schema change that cannot start
+//     because cursors are pinned open (or a reader blocked behind it)
 //     gets `false` back, which the session layer turns into a clean BUSY
 //     error frame instead of a wedged worker thread.
 //   * Read holds are not tied to a thread. An open server-side cursor keeps
@@ -16,12 +21,13 @@
 //     serviced by different pool workers — and releases it from whichever
 //     thread closes or exhausts the cursor. (std::shared_mutex makes that
 //     undefined behavior.)
-//   * Writer preference with a re-entrancy escape hatch. Once a writer is
-//     queued, new readers wait (no writer starvation under a steady SELECT
-//     load) — except readers from a session that already holds a cursor
-//     open, which may bypass the queue: blocking them could deadlock the
-//     session against the writer that is waiting for its own cursor to
-//     close (the cursor-pin interaction documented in DESIGN.md §5.4).
+//   * Schema-writer preference with a re-entrancy escape hatch. Once an
+//     exclusive hold is queued, new readers and DML writers wait (no
+//     starvation under a steady SELECT load) — except readers from a
+//     session that already holds a cursor open, which may bypass the
+//     queue: blocking them could deadlock the session against the schema
+//     change that is waiting for its own cursor to close (the cursor-pin
+//     interaction documented in DESIGN.md §5.4).
 #pragma once
 
 #include <chrono>
@@ -32,21 +38,6 @@ namespace perftrack::server {
 
 class DbGate {
  public:
-  /// Configures snapshot-read mode. Set once at server start, before any
-  /// worker thread exists (the thread-creation fence publishes it).
-  ///
-  /// Off (journal durability, the default): the classic two-tier gate —
-  /// lockWrite() delegates to the exclusive hold, so every mutation drains
-  /// every reader.
-  ///
-  /// On (WAL durability): readers run under pinned storage snapshots, so a
-  /// concurrent DML writer cannot disturb them. Shared holds then conflict
-  /// only with exclusive (schema) holds, and lockWrite() provides
-  /// writer-writer mutual exclusion without draining readers — SELECTs
-  /// stream while commits land.
-  void setSnapshotReads(bool on) { snapshot_reads_ = on; }
-  bool snapshotReads() const { return snapshot_reads_; }
-
   /// Acquires one shared (read) hold. `bypass_writer_queue` is set by
   /// sessions that already hold at least one read hold (see above).
   /// Returns false on timeout.
@@ -55,9 +46,8 @@ class DbGate {
   /// Releases one shared hold; callable from any thread.
   void unlockShared();
 
-  /// Acquires the DML-writer hold. In snapshot mode this excludes only
-  /// other writers (exclusive holds included) — readers keep streaming; in
-  /// legacy mode it is exactly lockExclusive(). Returns false on timeout.
+  /// Acquires the DML-writer hold: excludes other writers (exclusive holds
+  /// included) while readers keep streaming. Returns false on timeout.
   bool lockWrite(std::chrono::milliseconds timeout);
 
   void unlockWrite();
@@ -116,8 +106,8 @@ class DbGate {
     DbGate* gate_ = nullptr;
   };
 
-  /// RAII wrapper for the DML-writer hold. release() exists so a WAL-mode
-  /// session can drop the hold after the commit is appended but before the
+  /// RAII wrapper for the DML-writer hold. release() exists so a session
+  /// can drop the hold after the commit is appended but before the
   /// group-commit fsync — the next writer overlaps with this one's sync.
   class WriteHold {
    public:
@@ -139,10 +129,9 @@ class DbGate {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  bool snapshot_reads_ = false;  // set once before threads exist
   int readers_ = 0;          // active shared holds (incl. cursor-lifetime)
   bool writer_ = false;      // exclusive hold active
-  bool dml_writer_ = false;  // DML-writer hold active (snapshot mode only)
+  bool dml_writer_ = false;  // DML-writer hold active
   int writers_waiting_ = 0;  // queued exclusive holds (readers defer to them)
 };
 

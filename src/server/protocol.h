@@ -35,8 +35,11 @@
 //                                                     u64 uptime_ms,
 //                                                     u32 open_cursors,
 //                                                     u64 db_file_bytes,
-//                                                     u64 journal_bytes,
-//                                                     u64 busy_rejections}
+//                                                     u64 reserved (was
+//                                                       journal_bytes;
+//                                                       always 0),
+//                                                     u64 busy_rejections,
+//                                                     u64 wal_bytes}
 //   PING    {}                            -> PONG {}
 //   METRICS {}                            -> METRICS_OK {str text}
 //                                            (Prometheus exposition format)

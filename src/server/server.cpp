@@ -13,11 +13,7 @@
 namespace perftrack::server {
 
 PtServer::PtServer(minidb::Database& db, ServerConfig config)
-    : db_(&db), config_(std::move(config)) {
-  // WAL durability: cursors pin storage snapshots, so the gate lets DML
-  // writers run concurrently with readers (schema ops still drain all).
-  gate_.setSnapshotReads(db.durability() == minidb::Durability::Wal);
-}
+    : db_(&db), config_(std::move(config)) {}
 
 PtServer::~PtServer() { stop(); }
 
@@ -85,19 +81,10 @@ std::string PtServer::renderHealthz() const {
 }
 
 std::string PtServer::renderVarz() const {
-  const auto durability = [&]() -> const char* {
-    switch (db_->durability()) {
-      case minidb::Durability::None: return "none";
-      case minidb::Durability::Full: return "full";
-      case minidb::Durability::Wal: return "wal";
-    }
-    return "unknown";
-  }();
   std::string out;
   out += "pt_server_build_compiler " __VERSION__ "\n";
   out += "pt_server_build_date " __DATE__ "\n";
   out += "pt_server_protocol_version " + std::to_string(kProtocolVersion) + "\n";
-  out += "pt_server_durability " + std::string(durability) + "\n";
   out += "pt_server_workers " + std::to_string(config_.workers) + "\n";
   out += "pt_server_max_connections " +
          std::to_string(config_.max_connections) + "\n";

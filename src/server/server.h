@@ -117,7 +117,7 @@ class PtServer {
   /// file (if any) is still writable; an "unhealthy: ..." line otherwise.
   std::string renderHealthz() const;
   /// GET /varz body: build/config introspection as "name value" lines
-  /// (protocol version, durability mode, worker/limit knobs, uptime).
+  /// (protocol version, worker/limit knobs, uptime).
   std::string renderVarz() const;
 
   void pollerLoop();

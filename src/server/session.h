@@ -5,20 +5,18 @@
 // Session is the protocol's only entry into the shared minidb Database, and
 // every entry point is classified and gated:
 //
-//   SELECT / EXPLAIN   shared gate hold, kept for the cursor's lifetime so
-//                      concurrent SELECTs from many sessions run in
-//                      parallel while no writer can move pages under them;
-//                      under WAL durability the cursor additionally pins a
-//                      storage snapshot, and the shared hold conflicts only
-//                      with schema changes — DML proceeds underneath;
+//   SELECT / EXPLAIN   shared gate hold, kept for the cursor's lifetime,
+//                      plus a pinned storage snapshot: concurrent SELECTs
+//                      from many sessions run in parallel, and the shared
+//                      hold conflicts only with schema changes — DML
+//                      proceeds underneath;
 //   INSERT/UPDATE/DELETE
-//                      journal mode: exclusive gate hold for the statement,
-//                      wrapped in the journal-protected commit. WAL mode:
-//                      writer-only hold, commit appended to the WAL, hold
-//                      released, then the group-commit fsync (batched with
-//                      concurrent committers) before the OK frame;
-//   DDL / VACUUM       exclusive gate hold in both modes (they rewrite the
-//                      catalog and move pages under every version);
+//                      writer-only hold, commit appended to the WAL (or
+//                      published, for an in-memory store), hold released,
+//                      then the group-commit fsync (batched with concurrent
+//                      committers) before the OK frame;
+//   DDL / VACUUM       exclusive gate hold (they rewrite the catalog and
+//                      move pages under every version);
 //   BEGIN/COMMIT/ROLLBACK
 //                      rejected (autocommit only — interleaving frames from
 //                      many clients inside one storage transaction would
@@ -156,8 +154,8 @@ class Session {
   Frame doDiff(WireReader& r);
 
   Frame executeSelect(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
-  Frame executeWrite(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
-  Frame executeDmlWal(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
+  Frame executeSchema(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
+  Frame executeDml(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
   void closeCursorEntry(CursorEntry& entry);
 
   std::uint64_t id_;
@@ -174,9 +172,6 @@ class Session {
   std::uint32_t next_cursor_id_ = 1;
   int gate_holds_ = 0;  // cursor-lifetime shared holds this session owns
   bool hello_done_ = false;
-  // WAL durability: SELECT cursors pin storage snapshots (writers don't
-  // block them) and DML commits through the group-commit path.
-  bool snapshot_reads_ = false;
 };
 
 }  // namespace perftrack::server

@@ -21,9 +21,21 @@
 namespace perftrack {
 namespace {
 
-/// (kind, machine) pairs covering every converter and platform combination.
-class PipelineTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+/// A (kind, machine) pair; the cases cover every converter and platform
+/// combination.
+struct PipelineSource {
+  const char* kind;
+  const char* machine;
+};
+
+// Prints "<kind>_<machine>". The test names are made from the printed
+// parameter, and gtest would otherwise print the char pointers' addresses,
+// which change from run to run.
+void PrintTo(const PipelineSource& source, std::ostream* os) {
+  *os << source.kind << '_' << source.machine;
+}
+
+class PipelineTest : public ::testing::TestWithParam<PipelineSource> {};
 
 TEST_P(PipelineTest, GenerateConvertLoadReopenQuery) {
   const auto [kind, machine_name] = GetParam();
@@ -97,9 +109,9 @@ TEST_P(PipelineTest, GenerateConvertLoadReopenQuery) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sources, PipelineTest,
-    ::testing::Values(std::pair{"irs", "frost"}, std::pair{"irs", "mcr"},
-                      std::pair{"smg", "bgl"}, std::pair{"smg", "uv"},
-                      std::pair{"paradyn", "mcr"}));
+    ::testing::Values(PipelineSource{"irs", "frost"}, PipelineSource{"irs", "mcr"},
+                      PipelineSource{"smg", "bgl"}, PipelineSource{"smg", "uv"},
+                      PipelineSource{"paradyn", "mcr"}));
 
 TEST(CombinedStore, ThreeToolsInOneAnalysisSession) {
   // The paper's headline: "data collected in different locations and

@@ -1,4 +1,4 @@
-// Crash-matrix harness: prove FilePager's atomic commit under injected
+// Crash-matrix harness: prove FilePager's atomic WAL commit under injected
 // faults at *every* disk operation of a workload.
 //
 // The workload (DDL + ingest + index build + update/delete + VACUUM, all
@@ -13,19 +13,22 @@
 //   * the contents equal the state after the last completed commit — the
 //     transaction in flight at the crash is either fully present (the
 //     crash hit after the commit point) or fully absent, never partial;
-//   * the rollback journal is gone after the reopen;
+//   * the write-ahead log is gone after the reopen;
 //   * cached statements replan and return correct results after recovery.
 //
-// The matrix is parameterized over (durability mode, torn): the same
-// workload and the same invariants run against the rollback journal and
-// the write-ahead log, clean and with torn (partial-sector) writes at the
-// fault point. WAL runs use a tiny autocheckpoint so fault points land
-// inside checkpoints (WAL folding back into the db file) as well as inside
+// The matrix runs clean and with torn (partial-sector) writes at the fault
+// point, and uses a tiny autocheckpoint so fault points land inside
+// checkpoints (WAL folding back into the db file) as well as inside
 // commits.
+//
+// Below the matrix: direct pager tests of retried flushes, first-commit
+// crashes and the open-time lock, plus recovery of hand-built rollback
+// journals — the crash artifact of builds that predate WAL-only commits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <tuple>
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "dbal/connection.h"
+#include "minidb/database.h"
 #include "minidb/pager.h"
 #include "minidb/vfs.h"
 #include "util/error.h"
@@ -59,10 +63,8 @@ Snapshot snapshotOf(const std::map<std::int64_t, std::pair<std::int64_t, std::st
 
 /// Runs the full workload. Updates `trace` as commits complete; an injected
 /// fault propagates out with `trace` describing exactly how far it got.
-void runWorkload(const std::string& path, Vfs* vfs, Durability durability,
-                 WorkloadTrace& trace) {
+void runWorkload(const std::string& path, Vfs* vfs, WorkloadTrace& trace) {
   OpenOptions options;
-  options.durability = durability;
   // Low threshold: several checkpoints fire inside the workload, so the
   // fault sweep hits WAL-fold points, not just commit points.
   options.wal_autocheckpoint = 4;
@@ -142,18 +144,23 @@ Snapshot readState(Connection& conn) {
   return s;
 }
 
-using CrashMatrixParam = std::tuple<Durability, bool>;
+/// What reaches the disk at the failing write: nothing, or a torn prefix.
+enum class FaultKind { Clean, Torn };
+
+// A tuple (not a bare enum) keeps the printed parameter, and with it the
+// test names CTest lists, in the same shape as earlier builds.
+using CrashMatrixParam = std::tuple<FaultKind>;
 
 class CrashMatrix : public ::testing::TestWithParam<CrashMatrixParam> {};
 
 TEST_P(CrashMatrix, EveryFaultPointRecoversToACommittedState) {
-  const auto [durability, torn] = GetParam();
+  const bool torn = std::get<0>(GetParam()) == FaultKind::Torn;
   util::TempDir dir;
 
   // Fault-free run: learn the op count and the per-commit snapshots.
   FaultInjectingVfs counter(PosixVfs::instance());
   WorkloadTrace expected;
-  runWorkload(dir.file("base.db").string(), &counter, durability, expected);
+  runWorkload(dir.file("base.db").string(), &counter, expected);
   const std::uint64_t fault_points = counter.mutatingOps();
   ASSERT_GT(fault_points, 20u) << "workload too small to be a meaningful matrix";
   ASSERT_EQ(expected.commits_completed, 6u);
@@ -170,32 +177,28 @@ TEST_P(CrashMatrix, EveryFaultPointRecoversToACommittedState) {
     WorkloadTrace trace;
     bool crashed = false;
     try {
-      runWorkload(path, &vfs, durability, trace);
+      runWorkload(path, &vfs, trace);
     } catch (const InjectedFault&) {
       crashed = true;
     }
-    // Late WAL fault points land in the close-time checkpoint, where the
+    // Late fault points land in the close-time checkpoint, where the
     // pager destructor swallows the exception (a real close would just die
     // with the process). The fault still fired — the store on disk is
     // crashed either way.
     ASSERT_TRUE(crashed || vfs.crashed())
         << "fault point " << k << " was never reached";
 
-    // Reopen with a clean VFS: hot-journal / stale-WAL recovery runs here.
-    OpenOptions options;
-    options.durability = durability;
-    auto conn = Connection::open(path, options);
-
-    // Both logs must be consumed by recovery, whichever way it went.
-    EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
+    // Reopen with a clean VFS: stale-WAL recovery runs here, and must
+    // consume the log whichever way it went.
+    auto conn = Connection::open(path);
     EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
 
     // Storage invariants: heap and every index agree.
     EXPECT_TRUE(conn->database().verifyIntegrity().empty());
 
     // Atomicity: the store holds the state after the last completed commit,
-    // or — when the crash hit between the commit point (journal
-    // invalidation) and the commit call returning — the in-flight
+    // or — when the crash hit between the commit point (the marker frame
+    // reaching the log) and the commit call returning — the in-flight
     // transaction in full. Never anything in between. (A crash inside
     // VACUUM may land on either side of its flush too; both sides hold the
     // same logical contents, so the same check covers it.)
@@ -223,159 +226,313 @@ TEST_P(CrashMatrix, EveryFaultPointRecoversToACommittedState) {
 }
 
 std::string crashMatrixName(const ::testing::TestParamInfo<CrashMatrixParam>& info) {
-  const Durability durability = std::get<0>(info.param);
-  const bool torn = std::get<1>(info.param);
-  return std::string(durability == Durability::Wal ? "Wal" : "Journal") +
-         (torn ? "TornWrites" : "CleanFaults");
+  return std::get<0>(info.param) == FaultKind::Torn ? "WalTornWrites" : "WalCleanFaults";
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CleanAndTorn, CrashMatrix,
-    ::testing::Combine(::testing::Values(Durability::Full, Durability::Wal),
-                       ::testing::Values(false, true)),
-    crashMatrixName);
+INSTANTIATE_TEST_SUITE_P(CleanAndTorn, CrashMatrix,
+                         ::testing::Values(CrashMatrixParam{FaultKind::Clean},
+                                           CrashMatrixParam{FaultKind::Torn}),
+                         crashMatrixName);
 
-// --- direct journal-level tests ---------------------------------------------
+/// True when some page past the header starts with `text`.
+bool hasPage(const Pager& pager, const char* text) {
+  for (PageId id = 1; id < pager.pageCount(); ++id) {
+    if (std::memcmp(pager.pageForRead(id), text, std::strlen(text)) == 0) return true;
+  }
+  return false;
+}
+
+// --- direct durable-pager tests -----------------------------------------------
 
 TEST(DurablePager, CommitLeavesNoJournalBehind) {
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
-  FilePager pager(path, Durability::Full);
-  const PageId id = pager.allocate();
-  std::memcpy(pager.pageForWrite(id), "durable", 7);
-  pager.flush();
+  {
+    FilePager pager(path);
+    const PageId id = pager.allocate();
+    std::memcpy(pager.pageForWrite(id), "durable", 7);
+    pager.flush();
+    EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
+    EXPECT_FALSE(pager.recoveryStats().recovered);
+  }
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  EXPECT_FALSE(pager.recoveryStats().recovered);
+  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+}
+
+TEST(DurablePager, FailedFlushRetriesCleanly) {
+  // An injected fault is also how a transient I/O error looks to the pager:
+  // a later flush on the same pager must carry the commit through, whether
+  // the fault hit a frame write (dirty set kept, frames rewritten at the
+  // same log offset) or the commit fsync (frames appended, sync retried).
+  util::TempDir dir;
+  const std::string path = dir.file("d.db").string();
+  FaultInjectingVfs vfs(PosixVfs::instance());
+  {
+    FilePager pager(path, &vfs, /*wal_autocheckpoint=*/0);
+    const PageId id = pager.allocate();
+    std::memcpy(pager.pageForWrite(id), "first", 5);
+    pager.flush();
+
+    std::memcpy(pager.pageForWrite(id), "SECOND", 6);
+    FaultPlan plan;
+    plan.fail_at_op = vfs.mutatingOps() + 1;  // the commit's only frame write
+    plan.torn_write = true;
+    vfs.setPlan(plan);
+    EXPECT_THROW(pager.flush(), InjectedFault);
+    // "Transient" failure: the machine did not actually die. Clear the
+    // fault and retry the flush on the same pager.
+    vfs.reset();
+    vfs.setPlan(FaultPlan{});
+    pager.flush();
+
+    std::memcpy(pager.pageForWrite(id), "THIRD", 5);
+    plan = FaultPlan{};
+    plan.fail_at_op = vfs.mutatingOps() + 2;  // frame write, then the fsync
+    vfs.setPlan(plan);
+    EXPECT_THROW(pager.flush(), InjectedFault);
+    vfs.reset();
+    vfs.setPlan(FaultPlan{});
+    pager.flush();
+    EXPECT_EQ(std::memcmp(pager.pageForRead(id), "THIRD", 5), 0);
+  }
+  FilePager check(path);
+  EXPECT_FALSE(check.recoveryStats().wal_replayed);
+  EXPECT_FALSE(check.recoveryStats().discarded_invalid_wal);
+  EXPECT_TRUE(hasPage(check, "THIRD"));
+}
+
+TEST(DurablePager, CrashDuringFirstEverFlushRollsBackToEmpty) {
+  // Every write of a store's first commit — the WAL header and each frame,
+  // clean or torn — may be the last thing that reaches the disk. The
+  // commit's fsync never ran, so the store reopens as a fresh, empty
+  // database.
+  util::TempDir dir;
+  // Fault-free first commit: header write, frame writes, then one fsync.
+  std::uint64_t commit_ops = 0;
+  {
+    FaultInjectingVfs probe(PosixVfs::instance());
+    FilePager pager(dir.file("probe.db").string(), &probe, 0);
+    std::memcpy(pager.pageForWrite(pager.allocate()), "never", 5);
+    pager.flush();
+    commit_ops = probe.mutatingOps();
+  }
+  ASSERT_GE(commit_ops, 3u);
+  for (const bool torn : {false, true}) {
+    for (std::uint64_t k = 1; k < commit_ops; ++k) {  // every write, not the fsync
+      SCOPED_TRACE("fault at op " + std::to_string(k) + (torn ? " (torn)" : ""));
+      const std::string path =
+          dir.file("first_" + std::to_string(torn) + "_" + std::to_string(k) + ".db")
+              .string();
+      FaultInjectingVfs vfs(PosixVfs::instance());
+      {
+        FilePager pager(path, &vfs, 0);
+        std::memcpy(pager.pageForWrite(pager.allocate()), "never", 5);
+        FaultPlan plan;
+        plan.fail_at_op = k;
+        plan.torn_write = torn;
+        vfs.setPlan(plan);
+        EXPECT_THROW(pager.flush(), InjectedFault);
+      }
+      FilePager pager(path);
+      EXPECT_EQ(pager.pageCount(), 1u);
+      EXPECT_FALSE(pager.recoveryStats().wal_replayed);
+      EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+    }
+  }
+}
+
+TEST(DurablePager, SecondOpenOfALiveStoreThrowsAndLeavesItsWal) {
+  // A second opener must not treat the live WAL as a crash artifact: its
+  // recovery would fold and unlink the log under the first pager, and
+  // commits made after that would vanish in a crash.
+  util::TempDir dir;
+  const std::string path = dir.file("live.db").string();
+  const std::string wal = FilePager::walPathFor(path);
+  {
+    FilePager pager(path, nullptr, /*wal_autocheckpoint=*/0);
+    const PageId id = pager.allocate();
+    std::memcpy(pager.pageForWrite(id), "live", 4);
+    pager.flush();
+    const std::uint64_t wal_bytes = pager.walSizeBytes();
+    ASSERT_GT(wal_bytes, 0u);
+
+    try {
+      FilePager second(path);
+      ADD_FAILURE() << "second open of a live store succeeded";
+    } catch (const util::StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find("is open in another process"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(Database::open(path), util::StorageError);
+    ASSERT_TRUE(PosixVfs::instance().exists(wal));
+    EXPECT_EQ(std::filesystem::file_size(wal), wal_bytes);
+
+    // The first pager keeps committing into the same log.
+    std::memcpy(pager.pageForWrite(id), "more", 4);
+    pager.flush();
+    EXPECT_GT(pager.walSizeBytes(), wal_bytes);
+  }
+  // Closed: the lock is gone and the store opens normally.
+  FilePager reopened(path);
+  EXPECT_FALSE(reopened.recoveryStats().wal_replayed);
+  EXPECT_TRUE(hasPage(reopened, "more"));
+}
+
+// --- legacy rollback journals --------------------------------------------------
+//
+// Builds before WAL-only commits wrote `<db>.journal` before-images and then
+// overwrote db pages in place. These tests hand-build such journals (header,
+// {page id, before-image} records, FNV-1a 64 checksum over the records) and
+// check the one-time recovery at open.
+
+struct JournalRecord {
+  PageId id;
+  PageBuf image;
+};
+
+void writeLegacyJournal(const std::string& db_path, const std::vector<JournalRecord>& records,
+                        std::uint32_t orig_file_pages) {
+  std::vector<std::uint8_t> body;
+  for (const JournalRecord& r : records) {
+    const std::size_t at = body.size();
+    body.resize(at + sizeof(r.id) + kPageSize);
+    std::memcpy(body.data() + at, &r.id, sizeof(r.id));
+    std::memcpy(body.data() + at + sizeof(r.id), r.image.data(), kPageSize);
+  }
+  std::uint64_t checksum = 14695981039346656037ULL;
+  for (const std::uint8_t b : body) {
+    checksum ^= b;
+    checksum *= 1099511628211ULL;
+  }
+  const JournalHeader header{kJournalMagic, kJournalVersion,
+                             static_cast<std::uint32_t>(records.size()),
+                             orig_file_pages, checksum};
+  auto f = PosixVfs::instance().open(FilePager::journalPathFor(db_path), true);
+  f->write(0, &header, sizeof(header));
+  if (!body.empty()) f->write(sizeof(header), body.data(), body.size());
+}
+
+PageBuf readDbPage(const std::string& db_path, PageId id) {
+  PageBuf page{};
+  auto f = PosixVfs::instance().open(db_path, false);
+  EXPECT_EQ(f->read(std::uint64_t{id} * kPageSize, page.data(), kPageSize), kPageSize);
+  return page;
+}
+
+void writeDbPage(const std::string& db_path, PageId id, const char* text) {
+  PageBuf page{};
+  std::memcpy(page.data(), text, std::strlen(text));
+  auto f = PosixVfs::instance().open(db_path, false);
+  f->write(std::uint64_t{id} * kPageSize, page.data(), kPageSize);
+}
+
+/// A cleanly closed store holding one page that reads "first"; returns its id.
+PageId makeStore(const std::string& path) {
+  FilePager pager(path);
+  const PageId id = pager.allocate();
+  std::memcpy(pager.pageForWrite(id), "first", 5);
+  pager.flush();
+  return id;
+}
+
+std::uint32_t filePages(const std::string& path) {
+  return static_cast<std::uint32_t>(std::filesystem::file_size(path) / kPageSize);
 }
 
 TEST(DurablePager, HotJournalRollsBackToLastCommit) {
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::Full, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "first", 5);
-    pager.flush();  // committed state
+  const PageId id = makeStore(path);
+  const std::uint32_t pages = filePages(path);
+  // An older build crashed mid-commit: the journal was durable, one page
+  // was already overwritten and two pages were appended past the end.
+  writeLegacyJournal(path, {{id, readDbPage(path, id)}}, pages);
+  writeDbPage(path, id, "SECOND");
+  writeDbPage(path, pages + 1, "appended");
 
-    std::memcpy(pager.pageForWrite(id), "SECOND", 6);
-    // Fail the db-page write of the next flush: the journal is durable,
-    // the db is mid-overwrite.
-    FaultPlan plan;
-    plan.fail_at_op = vfs.mutatingOps() + 3;  // journal write, journal sync, db write
-    vfs.setPlan(plan);
-    EXPECT_THROW(pager.flush(), InjectedFault);
-  }
-  // Reopen: the hot journal restores "first".
-  FilePager pager(path, Durability::Full);
+  FilePager pager(path);
   EXPECT_TRUE(pager.recoveryStats().recovered);
-  EXPECT_GE(pager.recoveryStats().pages_restored, 1u);
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "first", 5) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(pager.recoveryStats().pages_restored, 1u);
+  EXPECT_EQ(std::memcmp(pager.pageForRead(id), "first", 5), 0);
+  EXPECT_EQ(pager.fileSizeBytes(), std::uint64_t{pages} * kPageSize);
+  EXPECT_EQ(pager.pageCount(), pages);
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
 }
 
 TEST(DurablePager, TornJournalIsDiscardedAndDbUntouched) {
+  // A crash while the journal itself was being written: the db was never
+  // touched, so a journal short of its declared records, or one whose
+  // records fail the checksum, is garbage.
+  for (const bool bad_checksum : {false, true}) {
+    SCOPED_TRACE(bad_checksum ? "bad checksum" : "short journal");
+    util::TempDir dir;
+    const std::string path = dir.file("d.db").string();
+    const PageId id = makeStore(path);
+    PageBuf image{};
+    std::memcpy(image.data(), "stale", 5);
+    writeLegacyJournal(path, {{id, image}}, filePages(path));
+    {
+      auto f = PosixVfs::instance().open(FilePager::journalPathFor(path), false);
+      if (bad_checksum) {
+        f->write(sizeof(JournalHeader) + sizeof(PageId), "X", 1);
+      } else {
+        f->truncate(f->size() - 100);
+      }
+    }
+    FilePager pager(path);
+    EXPECT_FALSE(pager.recoveryStats().recovered);
+    EXPECT_TRUE(pager.recoveryStats().discarded_invalid_journal);
+    EXPECT_EQ(std::memcmp(pager.pageForRead(id), "first", 5), 0);
+    EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
+  }
+}
+
+TEST(DurablePager, EmptyJournalIsDiscardedAndDbUntouched) {
+  // Older builds committed by truncating the journal to zero before
+  // removing it; a crash between the two leaves an empty file.
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::Full, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "first", 5);
-    pager.flush();
-    std::memcpy(pager.pageForWrite(id), "SECOND", 6);
-    // Fail the journal write itself, torn: an incomplete journal hits disk
-    // and the db is never touched.
-    FaultPlan plan;
-    plan.fail_at_op = vfs.mutatingOps() + 1;
-    plan.torn_write = true;
-    vfs.setPlan(plan);
-    EXPECT_THROW(pager.flush(), InjectedFault);
-  }
-  EXPECT_TRUE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  FilePager pager(path, Durability::Full);
+  const PageId id = makeStore(path);
+  PosixVfs::instance().open(FilePager::journalPathFor(path), true);
+  FilePager pager(path);
   EXPECT_FALSE(pager.recoveryStats().recovered);
   EXPECT_TRUE(pager.recoveryStats().discarded_invalid_journal);
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "first", 5) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(DurablePager, FailedFlushRetriesCleanly) {
-  // An injected fault is also how a transient I/O error looks to the pager:
-  // a later flush must start from the last committed on-disk state and
-  // carry the full dirty set forward.
-  util::TempDir dir;
-  const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  FilePager pager(path, Durability::Full, &vfs);
-  const PageId id = pager.allocate();
-  std::memcpy(pager.pageForWrite(id), "first", 5);
-  pager.flush();
-  std::memcpy(pager.pageForWrite(id), "SECOND", 6);
-  FaultPlan plan;
-  plan.fail_at_op = vfs.mutatingOps() + 3;
-  vfs.setPlan(plan);
-  EXPECT_THROW(pager.flush(), InjectedFault);
-  // "Transient" failure: the machine did not actually die. Clear the fault
-  // and retry the flush on the same pager.
-  vfs.reset();
-  vfs.setPlan(FaultPlan{});
-  pager.flush();
-  FilePager check(path, Durability::Full);
-  EXPECT_FALSE(check.recoveryStats().recovered);
-  bool found = false;
-  for (PageId p = 1; p < check.pageCount(); ++p) {
-    if (std::memcmp(check.pageForRead(p), "SECOND", 6) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(DurablePager, DurabilityNoneWritesNoJournal) {
-  util::TempDir dir;
-  const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::None, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "fast", 4);
-    pager.flush();
-  }
+  EXPECT_EQ(std::memcmp(pager.pageForRead(id), "first", 5), 0);
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  // No sync, no truncate, no journal ops: just the page writes.
-  FilePager check(path, Durability::None);
-  bool found = false;
-  for (PageId p = 1; p < check.pageCount(); ++p) {
-    if (std::memcmp(check.pageForRead(p), "fast", 4) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
 }
 
-TEST(DurablePager, CrashDuringFirstEverFlushRollsBackToEmpty) {
+TEST(DurablePager, StaleJournalAndStaleWalBothRecover) {
+  // Recovery is unconditional: a store carrying both a hot journal and a
+  // committed WAL rolls the journal back, then replays the WAL on top.
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
+  const PageId id = makeStore(path);
+  const std::uint32_t pages = filePages(path);
+  PageId wal_id = 0;
   FaultInjectingVfs vfs(PosixVfs::instance());
   {
-    FilePager pager(path, Durability::Full, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "never", 5);
+    FilePager pager(path, &vfs, 0);
+    wal_id = pager.allocate();
+    std::memcpy(pager.pageForWrite(wal_id), "walled", 6);
+    pager.flush();  // committed: appended + fsynced
+    // Kill every disk op from here on: the close-time checkpoint dies and
+    // the WAL survives.
     FaultPlan plan;
-    plan.fail_at_op = 4;  // journal write, journal sync, db write x2 -> fail
+    plan.fail_at_op = vfs.mutatingOps() + 1;
     vfs.setPlan(plan);
-    EXPECT_THROW(pager.flush(), InjectedFault);
   }
-  // Recovery truncates the db file back to zero length; the store opens as
-  // a fresh, empty database.
-  FilePager pager(path, Durability::Full);
-  EXPECT_TRUE(pager.recoveryStats().recovered ||
-              pager.recoveryStats().discarded_invalid_journal);
-  EXPECT_EQ(pager.pageCount(), 1u);
+  ASSERT_TRUE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+  writeLegacyJournal(path, {{id, readDbPage(path, id)}}, pages);
+  writeDbPage(path, id, "SECOND");
+
+  FilePager pager(path);
+  EXPECT_TRUE(pager.recoveryStats().recovered);
+  EXPECT_TRUE(pager.recoveryStats().wal_replayed);
+  EXPECT_EQ(std::memcmp(pager.pageForRead(id), "first", 5), 0);
+  EXPECT_EQ(std::memcmp(pager.pageForRead(wal_id), "walled", 6), 0);
+  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
+  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
 }
 
 // --- direct WAL-level tests --------------------------------------------------
@@ -384,7 +541,7 @@ TEST(WalPager, CommitAppendsFramesAndCleanCloseFoldsThem) {
   util::TempDir dir;
   const std::string path = dir.file("w.db").string();
   {
-    FilePager pager(path, Durability::Wal, nullptr, /*wal_autocheckpoint=*/0);
+    FilePager pager(path, nullptr, /*wal_autocheckpoint=*/0);
     const PageId id = pager.allocate();
     std::memcpy(pager.pageForWrite(id), "walled", 6);
     pager.flush();
@@ -394,13 +551,9 @@ TEST(WalPager, CommitAppendsFramesAndCleanCloseFoldsThem) {
   }
   // Clean close checkpoints and removes the log.
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
-  FilePager check(path, Durability::Wal);
+  FilePager check(path);
   EXPECT_FALSE(check.recoveryStats().wal_replayed);
-  bool found = false;
-  for (PageId id = 1; id < check.pageCount(); ++id) {
-    if (std::memcmp(check.pageForRead(id), "walled", 6) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(hasPage(check, "walled"));
 }
 
 TEST(WalPager, StaleWalIsReplayedOnReopen) {
@@ -408,7 +561,7 @@ TEST(WalPager, StaleWalIsReplayedOnReopen) {
   const std::string path = dir.file("w.db").string();
   FaultInjectingVfs vfs(PosixVfs::instance());
   {
-    FilePager pager(path, Durability::Wal, &vfs, 0);
+    FilePager pager(path, &vfs, 0);
     const PageId id = pager.allocate();
     std::memcpy(pager.pageForWrite(id), "replayme", 8);
     pager.flush();  // committed: appended + fsynced
@@ -419,40 +572,11 @@ TEST(WalPager, StaleWalIsReplayedOnReopen) {
     vfs.setPlan(plan);
   }
   ASSERT_TRUE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
-  FilePager pager(path, Durability::Wal);
+  FilePager pager(path);
   EXPECT_TRUE(pager.recoveryStats().wal_replayed);
   EXPECT_GE(pager.recoveryStats().wal_frames_applied, 1u);
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "replayme", 8) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(WalPager, StaleWalIsReplayedEvenWhenReopenedInJournalMode) {
-  // Recovery is unconditional: a store carrying committed WAL frames must
-  // surface them no matter which durability mode the next opener uses.
-  util::TempDir dir;
-  const std::string path = dir.file("w.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::Wal, &vfs, 0);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "crossmode", 9);
-    pager.flush();
-    FaultPlan plan;
-    plan.fail_at_op = vfs.mutatingOps() + 1;
-    vfs.setPlan(plan);
-  }
-  FilePager pager(path, Durability::Full);
-  EXPECT_TRUE(pager.recoveryStats().wal_replayed);
-  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "crossmode", 9) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(hasPage(pager, "replayme"));
 }
 
 TEST(WalPager, TornTailRecoversToCommittedPrefix) {
@@ -461,7 +585,7 @@ TEST(WalPager, TornTailRecoversToCommittedPrefix) {
   FaultInjectingVfs vfs(PosixVfs::instance());
   PageId id = 0;
   {
-    FilePager pager(path, Durability::Wal, &vfs, 0);
+    FilePager pager(path, &vfs, 0);
     id = pager.allocate();
     std::memcpy(pager.pageForWrite(id), "first", 5);
     pager.flush();  // commit A
@@ -472,7 +596,7 @@ TEST(WalPager, TornTailRecoversToCommittedPrefix) {
     vfs.setPlan(plan);
     EXPECT_THROW(pager.flush(), InjectedFault);
   }
-  FilePager pager(path, Durability::Wal);
+  FilePager pager(path);
   EXPECT_TRUE(pager.recoveryStats().wal_replayed);
   EXPECT_TRUE(pager.recoveryStats().discarded_invalid_wal);
   EXPECT_EQ(std::memcmp(pager.pageForRead(id), "first", 5), 0);
@@ -482,7 +606,7 @@ TEST(WalPager, ExplicitCheckpointFoldsAndTruncates) {
   util::TempDir dir;
   const std::string path = dir.file("w.db").string();
   {
-    FilePager pager(path, Durability::Wal, nullptr, 0);
+    FilePager pager(path, nullptr, 0);
     const PageId id = pager.allocate();
     std::memcpy(pager.pageForWrite(id), "one", 3);
     pager.flush();
@@ -494,19 +618,15 @@ TEST(WalPager, ExplicitCheckpointFoldsAndTruncates) {
     EXPECT_EQ(pager.walSizeBytes(), 0u);
     EXPECT_EQ(std::memcmp(pager.pageForRead(id), "two", 3), 0);
   }
-  FilePager check(path, Durability::Wal);
+  FilePager check(path);
   EXPECT_FALSE(check.recoveryStats().wal_replayed);
-  bool found = false;
-  for (PageId p = 1; p < check.pageCount(); ++p) {
-    if (std::memcmp(check.pageForRead(p), "two", 3) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(hasPage(check, "two"));
 }
 
 TEST(WalPager, AutocheckpointBoundsTheLog) {
   util::TempDir dir;
   const std::string path = dir.file("w.db").string();
-  FilePager pager(path, Durability::Wal, nullptr, /*wal_autocheckpoint=*/2);
+  FilePager pager(path, nullptr, /*wal_autocheckpoint=*/2);
   const PageId id = pager.allocate();
   for (int i = 0; i < 8; ++i) {
     std::memcpy(pager.pageForWrite(id), &i, sizeof(i));
@@ -520,7 +640,7 @@ TEST(WalPager, AutocheckpointBoundsTheLog) {
 TEST(WalPager, PinnedSnapshotDefersAutocheckpoint) {
   util::TempDir dir;
   const std::string path = dir.file("w.db").string();
-  FilePager pager(path, Durability::Wal, nullptr, /*wal_autocheckpoint=*/1);
+  FilePager pager(path, nullptr, /*wal_autocheckpoint=*/1);
   const PageId id = pager.allocate();
   std::memcpy(pager.pageForWrite(id), "base", 4);
   pager.flush();

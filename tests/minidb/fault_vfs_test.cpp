@@ -129,7 +129,7 @@ TEST(FaultInjectingVfs, ShortReadSurfacesAsStorageErrorInFilePager) {
   util::TempDir dir;
   const std::string path = dir.file("short.db").string();
   {
-    FilePager pager(path, Durability::None);
+    FilePager pager(path);
     pager.allocate();
     pager.flush();
   }
@@ -137,7 +137,7 @@ TEST(FaultInjectingVfs, ShortReadSurfacesAsStorageErrorInFilePager) {
   FaultPlan plan;
   plan.short_read_at = 1;
   vfs.setPlan(plan);
-  EXPECT_THROW(FilePager(path, Durability::Full, &vfs), util::StorageError);
+  EXPECT_THROW(FilePager(path, &vfs), util::StorageError);
 }
 
 TEST(FaultInjectingVfs, ResetClearsCountersAndCrashFlag) {

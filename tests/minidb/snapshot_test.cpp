@@ -31,7 +31,6 @@ namespace {
 
 OpenOptions walOptions(std::uint32_t autocheckpoint = 0) {
   OpenOptions options;
-  options.durability = Durability::Wal;
   options.wal_autocheckpoint = autocheckpoint;
   return options;
 }

@@ -100,37 +100,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TxnProperty,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
 
 // Durability differential: the same random transaction interleavings
-// replayed against a rollback-journal store and a WAL store, both
-// file-backed. The journal undoes aborted work from saved before-images;
-// the WAL never writes aborted work and publishes committed snapshots —
-// after every sequence both must hold exactly the model's committed state,
-// including after a close/reopen of each store.
+// replayed against a file-backed WAL store and an in-memory store. The WAL
+// never writes aborted work, publishes committed snapshots, and folds the
+// log into the db file at checkpoints — after every sequence both must hold
+// exactly the model's committed state, and the WAL store must still hold it
+// after a close/reopen.
 class TxnDurability : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
+TEST_P(TxnDurability, WalAndMemoryReplaysMatchTheModel) {
   util::TempDir tmp;
-  const std::string journal_path = tmp.file("journal.db").string();
   const std::string wal_path = tmp.file("wal.db").string();
-  OpenOptions journal_options;  // Durability::Full
   OpenOptions wal_options;
-  wal_options.durability = Durability::Wal;
   wal_options.wal_autocheckpoint = 8;  // fold the log mid-sequence
 
-  auto db_j = Database::open(journal_path, journal_options);
+  auto db_m = Database::openMemory();
   auto db_w = Database::open(wal_path, wal_options);
-  Engine jrn(*db_j);
+  Engine mem(*db_m);
   Engine wal(*db_w);
-  for (Engine* e : {&jrn, &wal}) {
+  for (Engine* e : {&mem, &wal}) {
     e->execScript(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT);"
         "CREATE INDEX t_by_k ON t (k);");
   }
   auto both = [&](const std::string& stmt) {
-    const ResultSet rj = jrn.exec(stmt);
+    const ResultSet rm = mem.exec(stmt);
     const ResultSet rw = wal.exec(stmt);
-    EXPECT_EQ(rj.rows_affected, rw.rows_affected) << stmt;
-    EXPECT_EQ(rj.last_insert_id, rw.last_insert_id) << stmt;
-    return rj;
+    EXPECT_EQ(rm.rows_affected, rw.rows_affected) << stmt;
+    EXPECT_EQ(rm.last_insert_id, rw.last_insert_id) << stmt;
+    return rm;
   };
 
   util::Rng rng(GetParam());
@@ -173,13 +170,13 @@ TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
 
     if (step % 50 == 49) {
       const char* all = "SELECT id, k, v FROM t ORDER BY id";
-      const ResultSet rj = jrn.exec(all);
+      const ResultSet rm = mem.exec(all);
       const ResultSet rw = wal.exec(all);
-      ASSERT_EQ(rj.rows.size(), working.size()) << "journal twin, step " << step;
+      ASSERT_EQ(rm.rows.size(), working.size()) << "memory twin, step " << step;
       ASSERT_EQ(rw.rows.size(), working.size()) << "wal twin, step " << step;
       std::size_t i = 0;
       for (const auto& [id, kv] : working) {
-        for (const ResultSet* rs : {&rj, &rw}) {
+        for (const ResultSet* rs : {&rm, &rw}) {
           ASSERT_EQ(rs->rows[i][0].asInt(), id);
           ASSERT_EQ(rs->rows[i][1].asInt(), kv.first);
           ASSERT_EQ(rs->rows[i][2].asText(), kv.second);
@@ -190,25 +187,22 @@ TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
   }
   if (in_txn) both("ROLLBACK");
 
-  EXPECT_TRUE(db_j->verifyIntegrity().empty());
+  EXPECT_TRUE(db_m->verifyIntegrity().empty());
   EXPECT_TRUE(db_w->verifyIntegrity().empty());
 
-  // Reopen both stores: the committed model state must have survived each
-  // mode's own persistence path (in-place flush vs checkpoint fold).
-  db_j.reset();
+  // Reopen the WAL store: the committed model state must have survived the
+  // close-time checkpoint fold, and still match the in-memory twin.
   db_w.reset();
-  db_j = Database::open(journal_path, journal_options);
   db_w = Database::open(wal_path, wal_options);
-  Engine jrn2(*db_j);
   Engine wal2(*db_w);
   const char* all = "SELECT id, k, v FROM t ORDER BY id";
-  const ResultSet rj = jrn2.exec(all);
+  const ResultSet rm = mem.exec(all);
   const ResultSet rw = wal2.exec(all);
-  ASSERT_EQ(rj.rows.size(), committed.size());
+  ASSERT_EQ(rm.rows.size(), committed.size());
   ASSERT_EQ(rw.rows.size(), committed.size());
   std::size_t i = 0;
   for (const auto& [id, kv] : committed) {
-    for (const ResultSet* rs : {&rj, &rw}) {
+    for (const ResultSet* rs : {&rm, &rw}) {
       ASSERT_EQ(rs->rows[i][0].asInt(), id);
       ASSERT_EQ(rs->rows[i][1].asInt(), kv.first);
       ASSERT_EQ(rs->rows[i][2].asText(), kv.second);

@@ -8,7 +8,7 @@
 #include <sys/socket.h>
 
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "util/error.h"
+#include "util/tempdir.h"
 
 namespace perftrack {
 namespace {
@@ -231,15 +232,15 @@ TEST_F(ServerTest, StatReportsSessionsCursorsAndUptime) {
   EXPECT_EQ(stat.open_cursors, 0u);
 }
 
-TEST(ServerStatFile, ReportsDbFileAndJournalSizes) {
-  const std::string path = ::testing::TempDir() + "/pt_stat_file_test.db";
-  std::remove(path.c_str());
-  std::remove((path + "-journal").c_str());
+TEST(ServerStatFile, ReportsDbFileAndWalSizes) {
+  util::TempDir tmp;
+  const std::string path = tmp.file("stat.db").string();
   auto db = minidb::Database::open(path);
   server::ServerConfig config;
   config.port = 0;
   server::PtServer srv(*db, config);
   srv.start();
+  std::uint64_t size_bytes = 0;
   {
     auto conn = dbal::RemoteConnection::connect(
         "127.0.0.1:" + std::to_string(srv.boundPort()));
@@ -247,13 +248,17 @@ TEST(ServerStatFile, ReportsDbFileAndJournalSizes) {
     conn->exec("INSERT INTO t VALUES (1)");
     const dbal::ServerStat stat = conn->serverStat();
     ASSERT_TRUE(stat.extended);
-    EXPECT_GT(stat.db_file_bytes, 0u);
-    // Between commits the rollback journal is truncated/removed.
-    EXPECT_EQ(stat.journal_bytes, 0u);
-    EXPECT_EQ(stat.db_file_bytes, stat.size_bytes);
+    // Commits append to the WAL; the db file catches up at checkpoints.
+    EXPECT_GT(stat.wal_bytes, 0u);
+    EXPECT_EQ(stat.wal_bytes, db->walSizeBytes());
+    EXPECT_EQ(stat.db_file_bytes, db->fileSizeBytes());
+    size_bytes = stat.size_bytes;
   }
   srv.stop();
-  std::remove(path.c_str());
+  // A clean close folds the WAL into the db file and removes it.
+  db.reset();
+  EXPECT_FALSE(std::filesystem::exists(path + ".wal"));
+  EXPECT_EQ(std::filesystem::file_size(path), size_bytes);
 }
 
 TEST_F(ServerTest, MetricsVerbReturnsLiveCounters) {

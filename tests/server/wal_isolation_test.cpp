@@ -43,7 +43,6 @@ class WalIsolationTest : public ::testing::Test {
  protected:
   WalIsolationTest() {
     minidb::OpenOptions options;
-    options.durability = minidb::Durability::Wal;
     options.wal_autocheckpoint = 8;  // fold often: checkpoints mid-workload
     db_ = minidb::Database::open(tmp_.file("wal_iso.db").string(), options);
 
@@ -112,8 +111,8 @@ TEST_F(WalIsolationTest, OpenReaderCursorDoesNotBlockAWriter) {
   ASSERT_TRUE(cur.next(row));
   EXPECT_EQ(row[0].asInt(), 0);
 
-  // In journal mode this UPDATE would be BUSY until the cursor closed (the
-  // exclusive gate waits out readers). In WAL mode it must land first try.
+  // A DML writer never waits out readers (only schema changes do), so the
+  // UPDATE must land first try.
   ASSERT_NO_THROW(writer->exec("UPDATE t SET g = 1"));
 
   // ... and the cursor keeps draining generation 0, to the last row.
