@@ -12,6 +12,9 @@
 #                            ExecPool; WAL snapshot readers racing
 #                            group-commit writers)
 #   scripts/ci.sh bench      normal build + bench smoke (non-gating label)
+#                            + a 2 s perfbench run of every workload, which
+#                            fails unless its oracle (remote and WAL answers
+#                            vs in-process ones) reports "correct": true
 #
 # Each mode uses its own build directory so they can be run back to back.
 set -eu
@@ -56,6 +59,17 @@ case "$MODE" in
     cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo
     cmake --build "$BUILD" -j "$JOBS"
     ctest --test-dir "$BUILD" --output-on-failure -L bench
+    # Numbers are not gated here either, but answers are: every workload's
+    # last line must say "correct": true.
+    for workload in analyst-remote analyst-local ingest-wal; do
+      last="$(cd "$ROOT" && python3 perfbench/run.py --workload "$workload" \
+                --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+      if ! printf '%s' "$last" | python3 -c \
+          'import json, sys; sys.exit(json.load(sys.stdin).get("correct") is not True)'; then
+        echo "ci: perfbench $workload is not correct: $last" >&2
+        exit 1
+      fi
+    done
     ;;
   *)
     echo "usage: $0 [normal|sanitize|tsan|bench]" >&2

@@ -16,15 +16,16 @@ std::optional<double> ComparisonRow::ratio() const {
   return value_b / value_a;
 }
 
-std::string comparableContext(core::PTDataStore& store,
-                              const core::PerfResultRecord& record) {
+std::string comparableContext(
+    const core::PerfResultRecord& record,
+    const std::unordered_map<core::ResourceId, core::ResourceInfo>& infos) {
   // The $EXEC canonicalization rule is shared with the core::diag engine so
   // both layers align the same contexts across executions.
   std::set<std::string> names;
   for (const auto& context : record.contexts) {
     for (core::ResourceId id : context) {
-      names.insert(core::diag::canonicalResourceName(
-          record.execution, store.resourceInfo(id).full_name));
+      names.insert(
+          core::diag::canonicalResourceName(record.execution, infos.at(id).full_name));
     }
   }
   return util::join({names.begin(), names.end()}, "|");
@@ -40,10 +41,11 @@ ComparisonReport compareExecutions(core::PTDataStore& store, const std::string& 
   // of one metric in one context) keep the first; a production tool would
   // aggregate, which ComparisonRow consumers can do upstream if needed.
   auto collect = [&](const std::string& exec) {
+    const auto records = store.getResults(store.resultsForExecution(exec));
+    const auto infos = core::contextResourceInfos(store, records);
     std::map<std::pair<std::string, std::string>, double> out;
-    for (std::int64_t id : store.resultsForExecution(exec)) {
-      const core::PerfResultRecord rec = store.getResult(id);
-      out.try_emplace({rec.metric, comparableContext(store, rec)}, rec.value);
+    for (const core::PerfResultRecord& rec : records) {
+      out.try_emplace({rec.metric, comparableContext(rec, infos)}, rec.value);
     }
     return out;
   };

@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/datastore.h"
@@ -47,8 +48,11 @@ struct ComparisonReport {
 /// leading segment equal to the execution name (or "<exec>-suffix") replaced
 /// by "$EXEC", sorted and joined. Results from different runs of the same
 /// code match when their contexts differ only by those per-run prefixes.
-std::string comparableContext(core::PTDataStore& store,
-                              const core::PerfResultRecord& record);
+/// `infos` must hold every context resource of `record`
+/// (core::contextResourceInfos).
+std::string comparableContext(
+    const core::PerfResultRecord& record,
+    const std::unordered_map<core::ResourceId, core::ResourceInfo>& infos);
 
 /// Compares every result of `exec_a` against `exec_b`.
 ComparisonReport compareExecutions(core::PTDataStore& store, const std::string& exec_a,

@@ -20,8 +20,7 @@ std::vector<LoadBalancePoint> loadBalanceStudy(core::PTDataStore& store,
   std::map<std::string, LoadBalancePoint> by_execution;
   const std::string max_metric = metric_base + " (max)";
   const std::string min_metric = metric_base + " (min)";
-  for (std::int64_t id : result_ids) {
-    const core::PerfResultRecord rec = store.getResult(id);
+  for (const core::PerfResultRecord& rec : store.getResults(result_ids)) {
     if (rec.metric != max_metric && rec.metric != min_metric) continue;
     LoadBalancePoint& point = by_execution[rec.execution];
     point.execution = rec.execution;

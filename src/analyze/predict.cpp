@@ -60,14 +60,15 @@ std::string predictExecution(core::PTDataStore& store, const std::string& base_e
     throw util::ModelError("prediction: execution '" + pred_exec +
                            "' already exists; use a distinct label");
   }
-  const std::string app = store.getResult(base_ids.front()).application;
+  const auto records = store.getResults(base_ids);
+  const auto infos = core::contextResourceInfos(store, records);
+  const std::string& app = records.front().application;
   store.addExecution(pred_exec, app);
   store.addResource("/" + pred_exec, "execution");
   store.addResourceAttribute("/" + pred_exec, "nprocs", std::to_string(target_nprocs));
   store.addResourceAttribute("/" + pred_exec, "predicted from", base_exec);
 
-  for (std::int64_t id : base_ids) {
-    const core::PerfResultRecord rec = store.getResult(id);
+  for (const core::PerfResultRecord& rec : records) {
     // Rebuild each context: per-execution resources (whose top-level name
     // embeds the baseline execution) are re-rooted under the predicted
     // execution; shared resources (build functions, machines, metrics of
@@ -77,7 +78,7 @@ std::string predictExecution(core::PTDataStore& store, const std::string& base_e
       core::ResourceSetSpec spec;
       spec.set_type = core::FocusType::Primary;
       for (core::ResourceId rid : context) {
-        const core::ResourceInfo info = store.resourceInfo(rid);
+        const core::ResourceInfo& info = infos.at(rid);
         const auto slash = info.full_name.find('/', 1);
         const std::string head = slash == std::string::npos
                                      ? info.full_name.substr(1)

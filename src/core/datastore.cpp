@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <optional>
 
+#include "core/in_chunks.h"
 #include "core/typesystem.h"
 #include "dbal/schema.h"
 #include "util/error.h"
@@ -12,6 +15,33 @@ namespace perftrack::core {
 
 using minidb::Value;
 using util::ModelError;
+
+namespace {
+
+/// Position of `id` in the ascending, distinct `sorted`.
+std::size_t slotOf(std::span<const std::int64_t> sorted, std::int64_t id) {
+  return static_cast<std::size_t>(std::lower_bound(sorted.begin(), sorted.end(), id) -
+                                  sorted.begin());
+}
+
+/// Lays `loaded`, the rows of the distinct ids `sorted`, out in the order of
+/// `ids`, repeating duplicates.
+template <typename T>
+std::vector<T> inRequestOrder(const std::vector<std::int64_t>& ids,
+                              const std::vector<std::int64_t>& sorted,
+                              std::vector<T> loaded) {
+  if (ids == sorted) return loaded;
+  const bool distinct = sorted.size() == ids.size();
+  std::vector<T> out;
+  out.reserve(ids.size());
+  for (std::int64_t id : ids) {
+    T& row = loaded[slotOf(sorted, id)];
+    out.push_back(distinct ? std::move(row) : row);
+  }
+  return out;
+}
+
+}  // namespace
 
 std::string_view focusTypeName(FocusType type) {
   switch (type) {
@@ -381,22 +411,43 @@ std::int64_t PTDataStore::addHistogramResult(
 }
 
 std::optional<PTDataStore::Histogram> PTDataStore::getHistogram(std::int64_t result_id) {
-  const auto desc = conn_->execPrepared(
-      "SELECT num_bins, bin_width FROM performance_result_histogram WHERE "
-      "result_id = ?",
-      {Value(result_id)});
-  if (desc.rows.empty()) return std::nullopt;
-  Histogram hist;
-  hist.num_bins = static_cast<int>(desc.rows[0][0].asInt());
-  hist.bin_width = desc.rows[0][1].asReal();
-  const auto bins = conn_->execPrepared(
-      "SELECT bin, value FROM performance_result_bin WHERE result_id = ? ORDER BY bin",
-      {Value(result_id)});
-  hist.bins.reserve(bins.rows.size());
-  for (const auto& row : bins.rows) {
-    hist.bins.emplace_back(static_cast<int>(row[0].asInt()), row[1].asReal());
+  return std::move(getHistograms({result_id}).front());
+}
+
+std::vector<std::optional<PTDataStore::Histogram>> PTDataStore::getHistograms(
+    const std::vector<std::int64_t>& result_ids) {
+  std::vector<std::int64_t> sorted = result_ids;
+  sortUnique(sorted);
+  std::vector<std::optional<Histogram>> loaded(sorted.size());
+  std::vector<std::int64_t> with_bins;
+  forEachRowInChunks(*conn_,
+                     "SELECT pr.id, h.num_bins, h.bin_width FROM performance_result pr "
+                     "JOIN performance_result_histogram h ON h.result_id = pr.id "
+                     "WHERE pr.id",
+                     sorted, [&](minidb::Row& row) {
+                       auto& hist = loaded[slotOf(sorted, row[0].asInt())];
+                       if (hist) return;
+                       hist.emplace();
+                       hist->num_bins = static_cast<int>(row[1].asInt());
+                       hist->bin_width = row[2].asReal();
+                       with_bins.push_back(row[0].asInt());
+                     });
+  forEachRowInChunks(*conn_,
+                     "SELECT pr.id, b.bin, b.value FROM performance_result pr "
+                     "JOIN performance_result_bin b ON b.result_id = pr.id WHERE pr.id",
+                     with_bins, [&](minidb::Row& row) {
+                       loaded[slotOf(sorted, row[0].asInt())]->bins.emplace_back(
+                           static_cast<int>(row[1].asInt()), row[2].asReal());
+                     });
+  for (std::optional<Histogram>& hist : loaded) {
+    if (!hist) continue;
+    std::stable_sort(hist->bins.begin(), hist->bins.end(),
+                     [](const auto& x, const auto& y) { return x.first < y.first; });
   }
-  return hist;
+  std::vector<std::optional<Histogram>> out;
+  out.reserve(result_ids.size());
+  for (std::int64_t id : result_ids) out.push_back(loaded[slotOf(sorted, id)]);
+  return out;
 }
 
 std::optional<ResourceId> PTDataStore::findResource(const std::string& full_name) {
@@ -428,10 +479,26 @@ constexpr const char* kResourceSelect =
 }  // namespace
 
 ResourceInfo PTDataStore::resourceInfo(ResourceId id) {
-  const auto rs = conn_->execPrepared(std::string(kResourceSelect) + "WHERE r.id = ?",
-                                      {Value(id)});
-  if (rs.rows.empty()) throw ModelError("no resource with id " + std::to_string(id));
-  return rowToResource(rs.rows[0]);
+  return std::move(resourceInfos({id}).front());
+}
+
+std::vector<ResourceInfo> PTDataStore::resourceInfos(const std::vector<ResourceId>& ids) {
+  std::vector<ResourceId> sorted = ids;
+  sortUnique(sorted);
+  std::vector<ResourceInfo> loaded(sorted.size());
+  std::vector<bool> found(sorted.size());
+  forEachRowInChunks(*conn_, std::string(kResourceSelect) + "WHERE r.id", sorted,
+                     [&](minidb::Row& row) {
+                       const std::size_t slot = slotOf(sorted, row.at(0).asInt());
+                       loaded[slot] = rowToResource(row);
+                       found[slot] = true;
+                     });
+  for (std::size_t slot = 0; slot < sorted.size(); ++slot) {
+    if (!found[slot]) {
+      throw ModelError("no resource with id " + std::to_string(sorted[slot]));
+    }
+  }
+  return inRequestOrder(ids, sorted, std::move(loaded));
 }
 
 std::vector<ResourceInfo> PTDataStore::resourcesOfType(const std::string& type_path) {
@@ -535,43 +602,119 @@ std::vector<std::string> PTDataStore::metrics() {
 }
 
 PerfResultRecord PTDataStore::getResult(std::int64_t result_id) {
-  const auto rs = conn_->execPrepared(
-      "SELECT pr.id, e.name, a.name, m.name, t.name, pr.value, pr.units, "
-      "pr.start_time, pr.end_time "
-      "FROM performance_result pr "
-      "JOIN execution e ON pr.execution_id = e.id "
-      "JOIN application a ON e.application_id = a.id "
-      "JOIN metric m ON pr.metric_id = m.id "
-      "JOIN performance_tool t ON pr.performance_tool_id = t.id "
-      "WHERE pr.id = ?",
-      {Value(result_id)});
-  if (rs.rows.empty()) {
-    throw ModelError("no performance result with id " + std::to_string(result_id));
+  return std::move(getResults({result_id}).front());
+}
+
+std::vector<PerfResultRecord> PTDataStore::getResults(
+    const std::vector<std::int64_t>& ids) {
+  std::vector<std::int64_t> sorted = ids;
+  sortUnique(sorted);
+  std::vector<PerfResultRecord> loaded;
+  loaded.reserve(sorted.size());
+  forEachResult(sorted, [&](PerfResultRecord& rec) { loaded.push_back(std::move(rec)); });
+  return inRequestOrder(ids, sorted, std::move(loaded));
+}
+
+// Every IN-list below sits on a primary key (performance_result.id,
+// focus.id), which the planner answers with a B-tree multi-point probe; the
+// link and membership tables are reached by index joins from there.
+void PTDataStore::forEachResult(std::span<const std::int64_t> ids,
+                                const std::function<void(PerfResultRecord&)>& fn) {
+  if (std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()) != ids.end()) {
+    throw ModelError("forEachResult: ids must be strictly ascending");
   }
-  const auto& row = rs.rows[0];
-  PerfResultRecord rec;
-  rec.id = row[0].asInt();
-  rec.execution = row[1].asText();
-  rec.application = row[2].asText();
-  rec.metric = row[3].asText();
-  rec.tool = row[4].asText();
-  rec.value = row[5].asReal();
-  rec.units = row[6].asText();
-  rec.start_time = row[7].asReal();
-  rec.end_time = row[8].asReal();
-  const auto foci = conn_->execPrepared(
-      "SELECT focus_id FROM performance_result_has_focus WHERE result_id = ?",
-      {Value(result_id)});
-  for (const auto& focus_row : foci.rows) {
-    const auto members = conn_->execPrepared(
-        "SELECT resource_id FROM focus_has_resource WHERE focus_id = ?",
-        {Value(focus_row[0].asInt())});
-    std::vector<ResourceId> context;
-    context.reserve(members.rows.size());
-    for (const auto& m : members.rows) context.push_back(m[0].asInt());
-    rec.contexts.push_back(std::move(context));
+  // Contexts first, for every id: focus links as (position in ids, focus
+  // id) in link order per result, then the members of the distinct foci.
+  // Foci are shared between results, so there are usually far fewer foci
+  // than links.
+  std::vector<std::pair<std::size_t, std::int64_t>> links;
+  forEachRowInChunks(*conn_,
+                     "SELECT pr.id, h.focus_id FROM performance_result pr "
+                     "JOIN performance_result_has_focus h ON h.result_id = pr.id "
+                     "WHERE pr.id",
+                     ids, [&](minidb::Row& row) {
+                       links.emplace_back(slotOf(ids, row[0].asInt()), row[1].asInt());
+                     });
+  std::stable_sort(links.begin(), links.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<std::int64_t> focus_ids;
+  focus_ids.reserve(links.size());
+  for (const auto& link : links) focus_ids.push_back(link.second);
+  sortUnique(focus_ids);
+  std::vector<std::vector<ResourceId>> members(focus_ids.size());
+  std::vector<FocusType> types(focus_ids.size(), FocusType::Primary);
+  forEachRowInChunks(*conn_,
+                     "SELECT f.id, m.resource_id, m.focus_type FROM focus f "
+                     "JOIN focus_has_resource m ON m.focus_id = f.id WHERE f.id",
+                     focus_ids, [&](minidb::Row& row) {
+                       const std::size_t slot = slotOf(focus_ids, row[0].asInt());
+                       members[slot].push_back(row[1].asInt());
+                       types[slot] = focusTypeFromName(row[2].asText());
+                     });
+
+  // Then the result rows, one chunk at a time, each completed with its
+  // contexts and handed on in id order.
+  std::size_t base = 0;
+  auto link = links.begin();
+  forEachChunk(ids, [&](std::span<const std::int64_t> chunk) {
+    std::vector<PerfResultRecord> records(chunk.size());
+    std::vector<bool> found(chunk.size());
+    forEachRowInChunks(
+        *conn_,
+        "SELECT pr.id, e.name, a.name, m.name, t.name, pr.value, pr.units, "
+        "pr.start_time, pr.end_time "
+        "FROM performance_result pr "
+        "JOIN execution e ON pr.execution_id = e.id "
+        "JOIN application a ON e.application_id = a.id "
+        "JOIN metric m ON pr.metric_id = m.id "
+        "JOIN performance_tool t ON pr.performance_tool_id = t.id "
+        "WHERE pr.id",
+        chunk, [&](minidb::Row& row) {
+          const std::size_t slot = slotOf(chunk, row[0].asInt());
+          PerfResultRecord& rec = records[slot];
+          found[slot] = true;
+          rec.id = row[0].asInt();
+          rec.execution = row[1].asText();
+          rec.application = row[2].asText();
+          rec.metric = row[3].asText();
+          rec.tool = row[4].asText();
+          rec.value = row[5].asReal();
+          rec.units = row[6].asText();
+          rec.start_time = row[7].asReal();
+          rec.end_time = row[8].asReal();
+        });
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      if (!found[i]) {
+        throw ModelError("no performance result with id " + std::to_string(chunk[i]));
+      }
+      PerfResultRecord& rec = records[i];
+      for (; link != links.end() && link->first == base + i; ++link) {
+        const std::size_t slot = slotOf(focus_ids, link->second);
+        rec.contexts.push_back(members[slot]);
+        rec.context_types.push_back(types[slot]);
+      }
+      fn(rec);
+    }
+    base += chunk.size();
+  });
+}
+
+std::unordered_map<ResourceId, ResourceInfo> contextResourceInfos(
+    PTDataStore& store, const std::vector<PerfResultRecord>& records) {
+  std::vector<ResourceId> ids;
+  for (const PerfResultRecord& rec : records) {
+    for (const auto& context : rec.contexts) {
+      ids.insert(ids.end(), context.begin(), context.end());
+    }
   }
-  return rec;
+  sortUnique(ids);
+  std::unordered_map<ResourceId, ResourceInfo> infos;
+  infos.reserve(ids.size());
+  for (ResourceInfo& info : store.resourceInfos(ids)) {
+    const ResourceId id = info.id;
+    infos.emplace(id, std::move(info));
+  }
+  return infos;
 }
 
 std::vector<std::int64_t> PTDataStore::resultsForExecution(const std::string& exec_name) {

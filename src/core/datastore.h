@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +62,7 @@ struct PerfResultRecord {
   double start_time = -1.0;
   double end_time = -1.0;
   std::vector<std::vector<ResourceId>> contexts;  // one vector per focus
+  std::vector<FocusType> context_types;           // set type of each context
 };
 
 /// Aggregate store statistics (drives the Table 1 reproduction).
@@ -144,13 +147,22 @@ class PTDataStore {
     std::vector<std::pair<int, double>> bins;  // sorted by bin index
   };
 
-  /// Returns the histogram attached to a result, or nullopt for plain
-  /// scalar results.
+  /// One-element getHistograms().
   std::optional<Histogram> getHistogram(std::int64_t result_id);
+  /// The histogram attached to each of `result_ids`, in their order, or
+  /// nullopt for plain scalar (or unknown) results. One statement per chunk
+  /// of up to 200 distinct ids, plus one per chunk of histogram results.
+  std::vector<std::optional<Histogram>> getHistograms(
+      const std::vector<std::int64_t>& result_ids);
 
   // --- lookups ---------------------------------------------------------------
   std::optional<ResourceId> findResource(const std::string& full_name);
+  /// One-element resourceInfos().
   ResourceInfo resourceInfo(ResourceId id);
+  /// The rows of `ids`, in the order of `ids` (duplicates repeat). One
+  /// statement per chunk of up to 200 distinct ids; throws ModelError naming
+  /// the smallest id that has no resource.
+  std::vector<ResourceInfo> resourceInfos(const std::vector<ResourceId>& ids);
   std::vector<ResourceInfo> resourcesOfType(const std::string& type_path);
   /// Resources with the given base name (the paper's "batch on any machine"
   /// shorthand).
@@ -165,7 +177,18 @@ class PTDataStore {
 
   std::vector<std::string> executions();
   std::vector<std::string> metrics();
+  /// One-element getResults().
   PerfResultRecord getResult(std::int64_t result_id);
+  /// The records of `ids`, in the order of `ids` (duplicates repeat), each
+  /// with its contexts in focus-link order and members in membership order.
+  /// Set-oriented: two statements per chunk of up to 200 distinct results
+  /// plus one per chunk of up to 200 distinct foci, never a statement per
+  /// record. Throws ModelError naming the smallest id that has no result.
+  std::vector<PerfResultRecord> getResults(const std::vector<std::int64_t>& ids);
+  /// getResults() for strictly ascending `ids`, handing each record to `fn`
+  /// in id order as its 200-id chunk arrives instead of holding them all.
+  void forEachResult(std::span<const std::int64_t> ids,
+                     const std::function<void(PerfResultRecord&)>& fn);
   /// All result ids for an execution.
   std::vector<std::int64_t> resultsForExecution(const std::string& exec_name);
 
@@ -203,5 +226,10 @@ class PTDataStore {
   std::unordered_map<std::string, std::int64_t> app_cache_;
   std::unordered_map<std::string, std::int64_t> focus_cache_;  // keyed by exec:signature
 };
+
+/// Info of every resource in the contexts of `records`, keyed by id, from
+/// one resourceInfos() call.
+std::unordered_map<ResourceId, ResourceInfo> contextResourceInfos(
+    PTDataStore& store, const std::vector<PerfResultRecord>& records);
 
 }  // namespace perftrack::core

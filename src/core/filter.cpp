@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/in_chunks.h"
 #include "minidb/invidx/manager.h"
 #include "util/compare.h"
 #include "util/error.h"
@@ -90,46 +91,18 @@ invidx::Manager* fastIndexes(dbal::Connection& conn) {
   return db != nullptr ? &db->invidx() : nullptr;
 }
 
-void sortUnique(std::vector<std::int64_t>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-/// Fixed IN-list sizes. The ragged tail chunk is padded up to the next rung
-/// by repeating its last id — the engine sorts and dedupes IN-list keys, so
-/// padding never changes the result — which keeps the set of distinct SQL
-/// texts bounded and every probe on the statement cache's hot path.
-constexpr std::size_t kChunkSizes[] = {1, 2, 4, 8, 16, 32, 64, 128, 200};
-constexpr std::size_t kChunk = 200;
-
-/// Runs `sql_prefix` + IN (?,...) for chunks of `ids`, collecting the first
-/// column of every row. `prefix_params` bind any '?' already in sql_prefix.
+/// The first column of every row of `sql_prefix` IN (ids), chunked through
+/// forEachRowInChunks. `prefix_params` bind any '?' already in sql_prefix.
 /// Ids are deduplicated and probed in ascending order — every caller treats
-/// the output as a set (a sort/dedup or hash-set build follows), and sorted
-/// probes walk the B-tree or posting index in key order.
+/// the output as a set (a sort/dedup or hash-set build follows).
 std::vector<std::int64_t> chunkedIn(dbal::Connection& conn, const std::string& sql_prefix,
                                     std::vector<std::int64_t> ids,
-                                    std::vector<Value> prefix_params = {}) {
+                                    const std::vector<Value>& prefix_params = {}) {
   sortUnique(ids);
   std::vector<std::int64_t> out;
-  for (std::size_t start = 0; start < ids.size(); start += kChunk) {
-    const std::size_t n = std::min(ids.size() - start, kChunk);
-    const std::size_t padded =
-        *std::lower_bound(std::begin(kChunkSizes), std::end(kChunkSizes), n);
-    std::string sql = sql_prefix + " IN (";
-    for (std::size_t i = 0; i < padded; ++i) {
-      if (i) sql.push_back(',');
-      sql.push_back('?');
-    }
-    sql.push_back(')');
-    std::vector<Value> params = prefix_params;
-    params.reserve(params.size() + padded);
-    for (std::size_t i = 0; i < n; ++i) params.emplace_back(ids[start + i]);
-    for (std::size_t i = n; i < padded; ++i) params.emplace_back(ids[start + n - 1]);
-    auto cur = conn.query(sql, std::move(params));
-    minidb::Row row;
-    while (cur.next(row)) out.push_back(row[0].asInt());
-  }
+  forEachRowInChunks(
+      conn, sql_prefix, ids, [&](minidb::Row& row) { out.push_back(row[0].asInt()); },
+      prefix_params);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/in_chunks.h"
 #include "util/compare.h"
 #include "util/csv.h"
 #include "util/error.h"
@@ -18,21 +19,31 @@ using util::ModelError;
 // ResultTable
 // ---------------------------------------------------------------------------
 
+const std::unordered_map<ResourceId, ResourceInfo>& ResultTable::infos() {
+  if (!infos_) {
+    std::vector<ResourceId> ids;
+    for (const ResultRow& row : rows_) {
+      ids.insert(ids.end(), row.context_resources.begin(), row.context_resources.end());
+    }
+    sortUnique(ids);
+    infos_.emplace();
+    for (ResourceInfo& info : store_->resourceInfos(ids)) {
+      const ResourceId id = info.id;
+      infos_->emplace(id, std::move(info));
+    }
+  }
+  return *infos_;
+}
+
 std::map<std::string, std::vector<std::string>> ResultTable::columnValuesByType() {
   // For each row, group its context resources by type path and record the
-  // (comma-joined) base names. Cached lookups through resourceInfo keep this
-  // O(distinct resources).
-  std::map<ResourceId, ResourceInfo> info_cache;
-  auto info = [&](ResourceId id) -> const ResourceInfo& {
-    auto it = info_cache.find(id);
-    if (it == info_cache.end()) it = info_cache.emplace(id, store_->resourceInfo(id)).first;
-    return it->second;
-  };
+  // (comma-joined) paths.
+  const auto& info = infos();
   std::map<std::string, std::vector<std::string>> by_type;
   for (const ResultRow& row : rows_) {
     std::map<std::string, std::set<std::string>> row_values;
     for (ResourceId id : row.context_resources) {
-      const ResourceInfo& ri = info(id);
+      const ResourceInfo& ri = info.at(id);
       // Full path (sans leading '/') rather than base name: processors named
       // "p0" on different nodes must count as different values.
       row_values[ri.type_path].insert(ri.full_name.substr(1));
@@ -63,15 +74,12 @@ void ResultTable::addColumn(const std::string& type_path) {
       extra_columns_.end()) {
     return;
   }
-  std::map<ResourceId, ResourceInfo> info_cache;
+  const auto& info = infos();
   for (ResultRow& row : rows_) {
     std::set<std::string> names;
     for (ResourceId id : row.context_resources) {
-      auto it = info_cache.find(id);
-      if (it == info_cache.end()) {
-        it = info_cache.emplace(id, store_->resourceInfo(id)).first;
-      }
-      if (it->second.type_path == type_path) names.insert(it->second.full_name.substr(1));
+      const ResourceInfo& ri = info.at(id);
+      if (ri.type_path == type_path) names.insert(ri.full_name.substr(1));
     }
     row.extra_columns[type_path] = util::join({names.begin(), names.end()}, ",");
   }
@@ -217,23 +225,26 @@ ResultTable QuerySession::run() {
   std::vector<std::vector<ResourceId>> families;
   families.reserve(families_.size());
   for (std::size_t i = 0; i < families_.size(); ++i) families.push_back(evaluated(i));
+  // Streamed: a whole-execution table never holds every record beside its
+  // row.
   const auto result_ids = matchResults(*store_, families);
   std::vector<ResultRow> rows;
   rows.reserve(result_ids.size());
-  for (std::int64_t id : result_ids) {
-    const PerfResultRecord rec = store_->getResult(id);
+  store_->forEachResult(result_ids, [&](PerfResultRecord& rec) {
     ResultRow row;
     row.result_id = rec.id;
-    row.execution = rec.execution;
-    row.metric = rec.metric;
-    row.tool = rec.tool;
+    row.execution = std::move(rec.execution);
+    row.metric = std::move(rec.metric);
+    row.tool = std::move(rec.tool);
     row.value = rec.value;
-    row.units = rec.units;
-    std::set<ResourceId> merged;
-    for (const auto& context : rec.contexts) merged.insert(context.begin(), context.end());
-    row.context_resources.assign(merged.begin(), merged.end());
+    row.units = std::move(rec.units);
+    for (const auto& context : rec.contexts) {
+      row.context_resources.insert(row.context_resources.end(), context.begin(),
+                                   context.end());
+    }
+    sortUnique(row.context_resources);
     rows.push_back(std::move(row));
-  }
+  });
   return ResultTable(*store_, std::move(rows));
 }
 

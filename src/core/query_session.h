@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/datastore.h"
@@ -52,8 +53,10 @@ class ResultTable {
   /// columns carry no information; the paper's GUI hides them).
   std::vector<std::string> freeResourceTypes();
 
-  /// Adds a display column for `type_path`, filling each row with the
-  /// base name(s) of its context resources of that type (comma-joined).
+  /// Adds a display column for `type_path`, filling each row with the full
+  /// path(s), without the leading '/', of its context resources of that type
+  /// (sorted, comma-joined). Full paths, not base names: processors named
+  /// "p0" on two nodes must read as different values.
   void addColumn(const std::string& type_path);
 
   const std::vector<std::string>& extraColumns() const { return extra_columns_; }
@@ -77,10 +80,15 @@ class ResultTable {
   std::string cellText(const ResultRow& row, const std::string& column) const;
   /// type path -> set of value strings observed across rows.
   std::map<std::string, std::vector<std::string>> columnValuesByType();
+  /// Info of every context resource of the rows, fetched with one
+  /// resourceInfos() call the first time a free-resource step needs it and
+  /// shared by every later one.
+  const std::unordered_map<ResourceId, ResourceInfo>& infos();
 
   PTDataStore* store_;
   std::vector<ResultRow> rows_;
   std::vector<std::string> extra_columns_;
+  std::optional<std::unordered_map<ResourceId, ResourceInfo>> infos_;
 };
 
 /// An interactive query-building session.

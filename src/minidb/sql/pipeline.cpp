@@ -622,11 +622,13 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
         }
         path = {};
         path.kind = SelectPlan::AccessPath::Kind::IndexInList;
-        // Integer key columns upgrade to the inverted index: one posting
-        // lookup per key, rids emitted in the same per-key order as the
-        // B-tree probes (the iterator falls back to the index at runtime
-        // when the posting path must decline).
-        if (invidx &&
+        // Integer key columns of a non-unique index upgrade to the inverted
+        // index: one posting lookup per key, rids emitted in the same
+        // per-key order as the B-tree probes (the iterator falls back to
+        // the index at runtime when the posting path must decline). A
+        // unique key's posting lists hold one rid each, so they cannot beat
+        // the B-tree probe and would only pin a whole-table rid index.
+        if (invidx && !index->unique &&
             plan.from[t].def->columns[col->bound_col].type == ColumnType::Integer) {
           path.kind = SelectPlan::AccessPath::Kind::PostingInList;
         }

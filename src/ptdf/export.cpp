@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <set>
 
+#include "core/in_chunks.h"
 #include "core/typesystem.h"
 #include "minidb/sql/row_batch.h"
 #include "util/strings.h"
@@ -47,61 +49,68 @@ void emitResource(core::PTDataStore& store, Writer& writer,
 
 void emitConstraints(core::PTDataStore& store, Writer& writer,
                      const core::ResourceInfo& info, ExportStats& stats) {
-  for (core::ResourceId other : store.constraintsOf(info.id)) {
-    writer.resourceConstraint(info.full_name, store.resourceInfo(other).full_name);
+  const auto others = store.resourceInfos(store.constraintsOf(info.id));
+  for (const core::ResourceInfo& other : others) {
+    writer.resourceConstraint(info.full_name, other.full_name);
     ++stats.constraints;
   }
 }
 
+/// Streams `sql` (a query of resource ids) and calls `emit` with the info of
+/// each id, fetched one batch at a time so the exporter's footprint stays
+/// flat in the store size (BENCH_cursor.json measures this).
+template <typename Emit>
+void forEachResource(core::PTDataStore& store, const std::string& sql, Emit&& emit) {
+  auto resources = store.connection().query(sql);
+  minidb::sql::RowBatch batch;
+  while (resources.fetchBatch(batch)) {
+    std::vector<core::ResourceId> ids;
+    ids.reserve(batch.sel.size());
+    for (const std::uint32_t i : batch.sel) ids.push_back(batch.cols[0][i].asInt());
+    for (const core::ResourceInfo& info : store.resourceInfos(ids)) emit(info);
+  }
+}
+
 /// Emits every performance result of one execution, reconstructing the
-/// resource sets with their focus types.
+/// resource sets with their focus types. Results are fetched set-oriented,
+/// kInChunk at a time, so memory stays flat in the execution size.
 void emitResults(core::PTDataStore& store, const std::string& exec_name, Writer& writer,
                  ExportStats& stats) {
-  dbal::Connection& conn = store.connection();
-  for (std::int64_t id : store.resultsForExecution(exec_name)) {
-    const core::PerfResultRecord rec = store.getResult(id);
-    // Rebuild the sets with focus types straight from the schema. The focus
-    // and member scans are two interleaved read-only cursors on the same
-    // connection; the statement cache hands the inner loop its own statement.
-    auto foci = conn.query(
-        "SELECT focus_id FROM performance_result_has_focus WHERE result_id = ?",
-        {minidb::Value(id)});
-    std::vector<core::ResourceSetSpec> sets;
-    minidb::sql::RowBatch focus_batch;
-    while (foci.fetchBatch(focus_batch)) {
-      for (const std::uint32_t f : focus_batch.sel) {
-        const std::int64_t focus_id = focus_batch.cols[0][f].asInt();
-        auto members = conn.query(
-            "SELECT resource_id, focus_type FROM focus_has_resource WHERE focus_id = ?",
-            {minidb::Value(focus_id)});
+  const auto ids = store.resultsForExecution(exec_name);
+  core::forEachChunk(ids, [&](std::span<const std::int64_t> slice) {
+    const std::vector<std::int64_t> chunk(slice.begin(), slice.end());
+    const auto records = store.getResults(chunk);
+    const auto hists = store.getHistograms(chunk);
+    const auto infos = core::contextResourceInfos(store, records);
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      const core::PerfResultRecord& rec = records[r];
+      std::vector<core::ResourceSetSpec> sets;
+      for (std::size_t c = 0; c < rec.contexts.size(); ++c) {
+        if (rec.contexts[c].empty()) continue;
         core::ResourceSetSpec spec;
-        minidb::sql::RowBatch member_batch;
-        while (members.fetchBatch(member_batch)) {
-          for (const std::uint32_t m : member_batch.sel) {
-            spec.resource_names.push_back(
-                store.resourceInfo(member_batch.cols[0][m].asInt()).full_name);
-            spec.set_type = core::focusTypeFromName(member_batch.cols[1][m].asText());
-          }
+        spec.set_type = rec.context_types[c];
+        for (core::ResourceId rid : rec.contexts[c]) {
+          spec.resource_names.push_back(infos.at(rid).full_name);
         }
-        if (!spec.resource_names.empty()) sets.push_back(std::move(spec));
+        sets.push_back(std::move(spec));
       }
-    }
-    if (const auto hist = store.getHistogram(id)) {
-      // Complex result: re-expand the sparse bins into the full vector with
-      // NaN holes so the PerfHistogram record round-trips exactly.
-      std::vector<double> bins(static_cast<std::size_t>(hist->num_bins),
-                               std::numeric_limits<double>::quiet_NaN());
-      for (const auto& [bin, value] : hist->bins) {
-        bins.at(static_cast<std::size_t>(bin)) = value;
+      if (const auto& hist = hists[r]) {
+        // Complex result: re-expand the sparse bins into the full vector
+        // with NaN holes so the PerfHistogram record round-trips exactly.
+        std::vector<double> bins(static_cast<std::size_t>(hist->num_bins),
+                                 std::numeric_limits<double>::quiet_NaN());
+        for (const auto& [bin, value] : hist->bins) {
+          bins.at(static_cast<std::size_t>(bin)) = value;
+        }
+        writer.perfHistogram(exec_name, sets, rec.tool, rec.metric, hist->bin_width,
+                             rec.units, bins);
+      } else {
+        writer.perfResult(exec_name, sets, rec.tool, rec.metric, rec.value, rec.units,
+                          rec.start_time, rec.end_time);
       }
-      writer.perfHistogram(exec_name, sets, rec.tool, rec.metric, hist->bin_width,
-                           rec.units, bins);
-    } else {
-      writer.perfResult(exec_name, sets, rec.tool, rec.metric, rec.value, rec.units,
-                        rec.start_time, rec.end_time);
+      ++stats.perf_results;
     }
-    ++stats.perf_results;
-  }
+  });
 }
 
 }  // namespace
@@ -135,28 +144,14 @@ ExportStats exportStore(core::PTDataStore& store, Writer& writer) {
 
   // Resources in id order: parents were created before children, so a
   // straight replay always finds ancestors in place. Two streaming passes
-  // over the resource table instead of one materialized list: the exporter's
-  // footprint stays flat in the store size (BENCH_cursor.json measures this).
-  {
-    auto resources = conn.query("SELECT r.id FROM resource_item r ORDER BY r.id");
-    minidb::sql::RowBatch batch;
-    while (resources.fetchBatch(batch)) {
-      for (const std::uint32_t i : batch.sel) {
-        emitResource(store, writer, store.resourceInfo(batch.cols[0][i].asInt()),
-                     stats);
-      }
-    }
-  }
-  {
-    auto resources = conn.query("SELECT r.id FROM resource_item r ORDER BY r.id");
-    minidb::sql::RowBatch batch;
-    while (resources.fetchBatch(batch)) {
-      for (const std::uint32_t i : batch.sel) {
-        emitConstraints(store, writer, store.resourceInfo(batch.cols[0][i].asInt()),
-                        stats);
-      }
-    }
-  }
+  // over the resource table instead of one materialized list.
+  const std::string by_id = "SELECT r.id FROM resource_item r ORDER BY r.id";
+  forEachResource(store, by_id, [&](const core::ResourceInfo& info) {
+    emitResource(store, writer, info, stats);
+  });
+  forEachResource(store, by_id, [&](const core::ResourceInfo& info) {
+    emitConstraints(store, writer, info, stats);
+  });
 
   for (const std::string& exec : store.executions()) {
     emitResults(store, exec, writer, stats);
@@ -171,24 +166,28 @@ ExportStats exportExecution(core::PTDataStore& store, const std::string& exec_na
 
   // Collect the resource closure the execution's results reference:
   // context members plus all their ancestors (so paths re-create cleanly).
-  std::set<core::ResourceId> needed;
-  for (std::int64_t id : store.resultsForExecution(exec_name)) {
-    const core::PerfResultRecord rec = store.getResult(id);
-    for (const auto& context : rec.contexts) {
-      for (core::ResourceId rid : context) {
-        if (!needed.insert(rid).second) continue;
-        for (core::ResourceId anc : store.ancestorsOf(rid)) needed.insert(anc);
-      }
-    }
-  }
-  std::vector<core::ResourceInfo> infos;
-  infos.reserve(needed.size());
-  for (core::ResourceId rid : needed) infos.push_back(store.resourceInfo(rid));
+  std::optional<std::string> app;  // of the execution, once it has a result
+  std::vector<core::ResourceId> needed;
+  store.forEachResult(store.resultsForExecution(exec_name),
+                      [&](const core::PerfResultRecord& rec) {
+                        app = rec.application;
+                        for (const auto& context : rec.contexts) {
+                          needed.insert(needed.end(), context.begin(), context.end());
+                        }
+                      });
+  core::sortUnique(needed);
+  std::vector<core::ResourceId> ancestors;
+  core::forEachRowInChunks(store.connection(),
+                           "SELECT a.ancestor_id FROM resource_item r "
+                           "JOIN resource_has_ancestor a ON a.resource_id = r.id "
+                           "WHERE r.id",
+                           needed, [&](minidb::Row& row) {
+                             ancestors.push_back(row[0].asInt());
+                           });
+  needed.insert(needed.end(), ancestors.begin(), ancestors.end());
+  core::sortUnique(needed);
   // Parents first (ids ascend along every path).
-  std::sort(infos.begin(), infos.end(),
-            [](const core::ResourceInfo& a, const core::ResourceInfo& b) {
-              return a.id < b.id;
-            });
+  const std::vector<core::ResourceInfo> infos = store.resourceInfos(needed);
 
   // Non-base types used by the closure.
   std::set<std::string> types;
@@ -199,11 +198,9 @@ ExportStats exportExecution(core::PTDataStore& store, const std::string& exec_na
     ++stats.resource_types;
   }
 
-  const auto ids = store.resultsForExecution(exec_name);
-  if (!ids.empty()) {
-    const std::string app = store.getResult(ids.front()).application;
-    writer.application(app);
-    writer.execution(exec_name, app);
+  if (app) {
+    writer.application(*app);
+    writer.execution(exec_name, *app);
     ++stats.executions;
   }
   for (const core::ResourceInfo& info : infos) emitResource(store, writer, info, stats);

@@ -40,8 +40,9 @@ TEST_F(CompareTest, ComparableContextCanonicalizesExecutionPrefix) {
   const auto idsB = store_.resultsForExecution("runB");
   const auto recA = store_.getResult(idsA[0]);
   const auto recB = store_.getResult(idsB[0]);
-  EXPECT_EQ(comparableContext(store_, recA), comparableContext(store_, recB));
-  EXPECT_NE(comparableContext(store_, recA).find("$EXEC"), std::string::npos);
+  const auto infos = core::contextResourceInfos(store_, {recA, recB});
+  EXPECT_EQ(comparableContext(recA, infos), comparableContext(recB, infos));
+  EXPECT_NE(comparableContext(recA, infos).find("$EXEC"), std::string::npos);
 }
 
 TEST_F(CompareTest, MatchedRowsAndUnmatchedCounts) {

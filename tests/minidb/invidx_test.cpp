@@ -277,6 +277,40 @@ TEST_F(PostingPathTest, ExplainShowsPostingIndexWhenEnabled) {
   EXPECT_NE(legacy.find("multi-point probe"), std::string::npos) << legacy;
 }
 
+TEST_F(PostingPathTest, UniqueKeysKeepTheBtreeProbe) {
+  // A unique key's posting lists hold one rid each: the planner keeps the
+  // B-tree multi-point probe for INTEGER PRIMARY KEY and UNIQUE columns, and
+  // EXPLAIN ANALYZE runs the same plan EXPLAIN prints.
+  sql_.exec("CREATE TABLE codes (id INTEGER PRIMARY KEY, code INTEGER)");
+  sql_.exec("CREATE UNIQUE INDEX codes_by_code ON codes (code)");
+  for (int i = 1; i <= 20; ++i) {
+    sql_.exec("INSERT INTO codes (code) VALUES (" + std::to_string(100 + i) + ")");
+  }
+  sql_.setInvidx(true);
+  const std::uint64_t builds = counters().builds.value();
+  for (const char* q : {"SELECT id FROM items WHERE id IN (5, 1, 12)",
+                        "SELECT id FROM codes WHERE code IN (101, 107, 120)"}) {
+    const std::string sql(q);
+    const auto plan = planText(sql_.exec("EXPLAIN " + sql));
+    EXPECT_NE(plan.find("multi-point probe"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find("USING POSTING INDEX"), std::string::npos) << plan;
+    const auto analyzed = planText(sql_.exec("EXPLAIN ANALYZE " + sql));
+    EXPECT_NE(analyzed.find("multi-point probe"), std::string::npos) << analyzed;
+    EXPECT_EQ(analyzed.find("USING POSTING INDEX"), std::string::npos) << analyzed;
+    EXPECT_EQ(analyzed.find("postings:"), std::string::npos) << analyzed;
+    EXPECT_EQ(sql_.exec(sql).rows.size(), 3u) << q;
+  }
+  EXPECT_EQ(counters().builds.value(), builds);
+
+  // The non-unique grp index still takes the posting path, in both forms.
+  const auto plan = planText(sql_.exec("EXPLAIN SELECT id FROM items WHERE grp IN (1, 2)"));
+  EXPECT_NE(plan.find("USING POSTING INDEX"), std::string::npos) << plan;
+  const auto analyzed =
+      planText(sql_.exec("EXPLAIN ANALYZE SELECT id FROM items WHERE grp IN (1, 2)"));
+  EXPECT_NE(analyzed.find("USING POSTING INDEX"), std::string::npos) << analyzed;
+  EXPECT_EQ(analyzed.find("multi-point probe"), std::string::npos) << analyzed;
+}
+
 TEST_F(PostingPathTest, ExplainAnalyzeShowsPostingStats) {
   sql_.setInvidx(true);
   const auto plan =
