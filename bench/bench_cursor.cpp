@@ -10,7 +10,8 @@
 // run first at each size: VmHWM is monotonic, so any high-water growth
 // observed during the materialized phase is memory the streamed phases
 // never needed — the O(1)-memory claim for the export path, in numbers.
-// The streamed-vs-batched pair is the row-vs-batch pipeline A/B.
+// The streamed-vs-batched pair runs the same batch pipeline and compares
+// its two drains: the cursor's row adapter (next()) against batch fetch.
 //
 // PT_CURSOR_JSON=<path>: also emit the cells as JSON (one object per
 // size x phase) for scripts/bench_smoke.sh and before/after comparisons.

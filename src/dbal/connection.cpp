@@ -30,6 +30,20 @@ StmtCacheCounters& stmtCacheCounters() {
   return *c;
 }
 
+}  // namespace
+
+void countStmtCacheLookup(StatementCacheStats& stats, bool hit) {
+  if (hit) {
+    ++stats.hits;
+    stmtCacheCounters().hits.inc();
+  } else {
+    ++stats.misses;
+    stmtCacheCounters().misses.inc();
+  }
+}
+
+namespace {
+
 /// Only plain DML/query statements are worth caching; DDL, transaction
 /// control, and VACUUM are rare and invalidate plans anyway.
 bool cacheableKind(Statement::Kind kind) {
@@ -149,20 +163,17 @@ std::shared_ptr<minidb::sql::PreparedStatement> LocalConnection::prepared(
   const auto it = cache_map_.find(sql);
   if (it != cache_map_.end()) {
     if (!it->second->stmt->hasOpenCursor()) {
-      ++stats_.hits;
-      stmtCacheCounters().hits.inc();
+      countStmtCacheLookup(stats_, /*hit=*/true);
       cache_.splice(cache_.begin(), cache_, it->second);
       return it->second->stmt;
     }
     // An open cursor is stepping the cached statement; its parameter values
     // live in the shared AST, so hand out a fresh uncached statement rather
     // than corrupting the scan in progress.
-    ++stats_.misses;
-    stmtCacheCounters().misses.inc();
+    countStmtCacheLookup(stats_, /*hit=*/false);
     return std::make_shared<minidb::sql::PreparedStatement>(engine_.prepare(sql));
   }
-  ++stats_.misses;
-  stmtCacheCounters().misses.inc();
+  countStmtCacheLookup(stats_, /*hit=*/false);
   auto stmt = std::make_shared<minidb::sql::PreparedStatement>(engine_.prepare(sql));
   if (cache_capacity_ == 0 || !cacheableKind(stmt->kind())) return stmt;
   cache_.push_front(CacheEntry{std::string(sql), stmt});

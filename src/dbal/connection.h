@@ -44,6 +44,10 @@ struct StatementCacheStats {
   std::uint64_t invalidations = 0;  // entries dropped by DDL / ablation flips
 };
 
+/// Counts one statement-cache lookup in `stats` and in the process-wide
+/// pt_stmt_cache_hits_total / pt_stmt_cache_misses_total (both backends).
+void countStmtCacheLookup(StatementCacheStats& stats, bool hit);
+
 /// A streaming SELECT cursor at the abstraction-layer level: rows are pulled
 /// one at a time, so wide results never materialize client-side. Local
 /// cursors step minidb's operator pipeline directly (and pin the storage
@@ -200,8 +204,8 @@ class Connection {
   virtual bool invidxEnabled() const { return false; }
 
   // --- statement-cache introspection ----------------------------------------
-  // Local backends report the real LRU numbers; the remote backend keeps no
-  // client-side plan cache, so the base defaults (zeros, no-ops) apply.
+  // Local backends report the real LRU numbers; the remote backend reports
+  // hits and misses of its server-side statement-handle cache.
   virtual std::size_t statementCacheSize() const { return 0; }
   virtual const StatementCacheStats& statementCacheStats() const;
   /// Sets the LRU bound (0 disables caching) and evicts down to it.

@@ -303,13 +303,14 @@ std::shared_ptr<RemoteConnection::StmtHandle> RemoteConnection::prepareRemote(
 std::shared_ptr<RemoteConnection::StmtHandle> RemoteConnection::stmtFor(
     std::string_view sql) {
   const auto it = stmts_.find(std::string(sql));
-  if (it != stmts_.end()) {
-    if (!it->second->cursor_open) return it->second;
-    // Same rule as the local backend: a statement mid-stream is never
-    // re-entered; compile a throwaway server-side twin instead.
-    return prepareRemote(sql, /*cache=*/false);
+  if (it != stmts_.end() && !it->second->cursor_open) {
+    countStmtCacheLookup(stats_, /*hit=*/true);
+    return it->second;
   }
-  return prepareRemote(sql, /*cache=*/true);
+  countStmtCacheLookup(stats_, /*hit=*/false);
+  // Same rule as the local backend: a statement mid-stream is never
+  // re-entered; compile a throwaway server-side twin instead.
+  return prepareRemote(sql, /*cache=*/it == stmts_.end());
 }
 
 void RemoteConnection::bindRemote(const std::shared_ptr<StmtHandle>& stmt,

@@ -97,6 +97,9 @@ class RemoteConnection final : public Connection {
   /// Remote handles held by this client (server-side statements stay alive
   /// until closed, so this doubles as a leak check in tests).
   std::size_t statementCacheSize() const override { return stmts_.size(); }
+  /// Handle-cache lookups: a hit reuses a server-side statement, a miss
+  /// prepares one (first use, or a twin of a handle busy with a cursor).
+  const StatementCacheStats& statementCacheStats() const override { return stats_; }
   void clearStatementCache() override;
 
   // --- remote-only surface ---------------------------------------------------
@@ -133,6 +136,7 @@ class RemoteConnection final : public Connection {
 
   std::shared_ptr<Wire> wire_;
   std::unordered_map<std::string, std::shared_ptr<StmtHandle>> stmts_;
+  StatementCacheStats stats_;
   // Client-side echo of the server's session invidx flag (the wire has no
   // GET_OPTION; new sessions start from the server default, which is on
   // unless ptserverd was started with --invidx 0).

@@ -193,6 +193,10 @@ struct CursorImpl {
 
   ~CursorImpl() { closeImpl(); }
 
+  /// The one row adapter over the batch pipeline: refills `rows_` through
+  /// nextBatch() and hands its rows out one at a time. Refills ramp from 32
+  /// rows, doubling to batch_rows, so a caller that steps a few rows and
+  /// closes (a top-K loop) scans about 32 rows, not a full batch.
   bool nextRow(Row& row) {
     if (!open) return false;
     if (is_explain) {
@@ -204,20 +208,14 @@ struct CursorImpl {
       countRow(row);
       return true;
     }
-    // The pin makes schema changes impossible while open; this guards the
-    // invariant itself rather than any expected path. Snapshot cursors skip
-    // it: their data is frozen and a concurrent DML rollback (which bumps
-    // the epoch without moving the catalog) must not kill them.
-    if (!snap.valid() && db->schemaEpoch() != epoch) {
-      closeImpl();
-      throw SqlError("cursor: schema changed while cursor was open");
+    checkEpoch();
+    if (pos_ >= rows_.sel.size()) {
+      rows_.capacity = std::min(ramp_, batch_rows);
+      ramp_ = std::min(ramp_ * 2, batch_rows);
+      if (!pull(rows_)) return false;
+      pos_ = 0;
     }
-    std::optional<Pager::SnapshotScope> scope;
-    if (snap.valid()) scope.emplace(snap);
-    if (!pipeline.root->next(row, scratch_keys_)) {
-      closeImpl();
-      return false;
-    }
+    rows_.takeRow(rows_.sel[pos_++], row);
     countRow(row);
     return true;
   }
@@ -240,17 +238,21 @@ struct CursorImpl {
       }
       return true;
     }
-    if (!snap.valid() && db->schemaEpoch() != epoch) {
-      closeImpl();
-      throw SqlError("cursor: schema changed while cursor was open");
+    checkEpoch();
+    if (pos_ < rows_.sel.size()) {
+      // Rows a next() caller pulled but did not take go out first.
+      const std::size_t cap = batch.capacity;
+      std::swap(batch, rows_);
+      batch.sel.erase(batch.sel.begin(),
+                      batch.sel.begin() + static_cast<std::ptrdiff_t>(pos_));
+      batch.capacity = cap;
+      rows_.sel.clear();
+      pos_ = 0;
+      countBatch(batch);
+      return true;
     }
-    std::optional<Pager::SnapshotScope> scope;
-    if (snap.valid()) scope.emplace(snap);
     if (batch.capacity == 0) batch.capacity = batch_rows;
-    if (!pipeline.root->nextBatch(batch)) {
-      closeImpl();
-      return false;
-    }
+    if (!pull(batch)) return false;
     countBatch(batch);
     return true;
   }
@@ -267,6 +269,28 @@ struct CursorImpl {
     for (const std::uint32_t i : batch.sel) {
       for (const auto& c : batch.cols) trace.bytes += approxValueBytes(c[i]);
     }
+  }
+
+  /// The pin makes schema changes impossible while open; this guards the
+  /// invariant itself rather than any expected path. Snapshot cursors skip
+  /// it: their data is frozen and a concurrent DML rollback (which bumps
+  /// the epoch without moving the catalog) must not kill them.
+  void checkEpoch() {
+    if (!snap.valid() && db->schemaEpoch() != epoch) {
+      closeImpl();
+      throw SqlError("cursor: schema changed while cursor was open");
+    }
+  }
+
+  /// One pipeline pull (under the cursor's snapshot, if any); closes the
+  /// cursor at end of stream.
+  bool pull(RowBatch& batch) {
+    std::optional<Pager::SnapshotScope> scope;
+    if (snap.valid()) scope.emplace(snap);
+    if (pipeline.root->nextBatch(batch)) return true;
+    scope.reset();
+    closeImpl();
+    return false;
   }
 
   void closeImpl() {
@@ -292,7 +316,9 @@ struct CursorImpl {
   }
 
  private:
-  std::vector<Value> scratch_keys_;  // ORDER BY keys plumbing (unused at root)
+  RowBatch rows_;        // the row adapter's current batch
+  std::size_t pos_ = 0;  // next unread index into rows_.sel
+  std::size_t ramp_ = 32;
 };
 
 Cursor::Cursor(std::shared_ptr<CursorImpl> impl) : impl_(std::move(impl)) {}
@@ -433,31 +459,13 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
   if (stmt_->explain) {
     impl->is_explain = true;
     impl->columns = {"plan"};
-    std::vector<std::string> lines;
-    if (stmt_->explain_analyze) {
-      // EXPLAIN ANALYZE: run the statement to exhaustion with per-operator
-      // accounting armed, then step the annotated tree lines. The run holds
-      // a scoped pin; the resulting cursor is text-only and pin-free, so it
-      // is safe to stream over the wire like plain EXPLAIN.
-      materializePlanSubqueries(db, *plan_);
-      Pipeline p = buildPipeline(db, *plan_, exec_opts);
-      p.root->setAnalyze(true);
-      {
-        const Database::CursorPin run_pin = db.pinCursor();
-        p.root->open();
-        RowBatch batch;
-        batch.capacity = exec_opts.batch_rows;
-        while (p.root->nextBatch(batch)) {
-        }
-        p.root->close();
-      }
-      p.root->describe(lines, 0);
-    } else {
-      lines = explainPipeline(db, *plan_, exec_opts);
-    }
-    for (std::string& line : lines) {
-      impl->explain_rows.push_back({Value(std::move(line))});
-    }
+    // EXPLAIN ANALYZE runs the statement under a scoped pin; the resulting
+    // cursor is text-only and pin-free, so it is safe to stream over the
+    // wire like plain EXPLAIN.
+    const std::vector<std::string> lines =
+        stmt_->explain_analyze ? explainAnalyze(db, *plan_, exec_opts)
+                               : explainPipeline(db, *plan_, exec_opts);
+    for (const std::string& line : lines) impl->explain_rows.push_back({Value(line)});
   } else {
     // Subqueries run before the pin is taken (they open their own scans).
     materializePlanSubqueries(db, *plan_);

@@ -92,7 +92,9 @@ class Cursor {
   const std::vector<std::string>& columns() const;
 
   /// Produces the next row. Returns false (and auto-closes) at end of
-  /// stream.
+  /// stream. The pipeline's one row adapter: it refills an internal batch
+  /// (32 rows first, doubling up to execBatchRows()) and hands its rows out
+  /// one at a time, so stopping after a few rows scans about 32.
   bool next(Row& row);
 
   /// Pulls the next batch of rows. `batch.capacity` bounds the refill (0 =

@@ -99,7 +99,6 @@ Value compare(BinaryOp op, const Value& a, const Value& b) {
 }
 
 }  // namespace
-
 bool truthy(const Value& v) {
   if (v.isNull()) return false;
   if (v.isInt()) return v.asInt() != 0;
@@ -107,75 +106,166 @@ bool truthy(const Value& v) {
   return !v.asText().empty();
 }
 
-Value evaluate(const Expr& e, const Tuple& tuple) {
+namespace {
+
+// Column resolvers: each tells eval() where a bound Column ref reads its
+// value and what an Aggregate node means in its context.
+
+[[noreturn]] Value noAggregate() {
+  throw SqlError("aggregate used outside of an aggregating SELECT");
+}
+
+/// A tuple of rows, one per FROM entry (UPDATE/DELETE rows, INSERT values).
+struct TupleCols {
+  const Tuple& tuple;
+  const Value& column(const Expr& e) const {
+    const Row* row = tuple.at(e.bound_table);
+    if (row == nullptr) throw SqlError("internal: unbound tuple slot");
+    return row->at(e.bound_col);
+  }
+  Value aggregate(const Expr&) const { noAggregate(); }
+};
+
+/// Where each FROM entry's columns sit in a joined batch: column c of entry
+/// t is batch column index[base[t] + c]. A join emits only the columns read
+/// above it, side by side in FROM order; a single-table batch (empty
+/// `index`) keeps every column at its own ordinal.
+struct Layout {
+  std::vector<std::uint32_t> base;
+  std::vector<std::uint32_t> index;
+  std::size_t of(const Expr& e) const {
+    const auto c = static_cast<std::size_t>(e.bound_col);
+    if (index.empty()) return c;
+    return index[base[static_cast<std::size_t>(e.bound_table)] + c];
+  }
+};
+
+/// One lane of a joined batch.
+struct LaneCols {
+  const RowBatch& batch;
+  const Layout& layout;
+  std::uint32_t lane;
+  const Value& column(const Expr& e) const { return batch.cols[layout.of(e)][lane]; }
+  Value aggregate(const Expr&) const { noAggregate(); }
+};
+
+/// The current row of one FROM entry inside the nested loop: a lane of that
+/// level's batch (or of its all-NULL row); `batch` is null while unbound.
+struct Slot {
+  const RowBatch* batch = nullptr;
+  std::uint32_t lane = 0;
+};
+
+using Slots = std::vector<Slot>;
+
+/// The nested loop's bound levels (inner filters and index-probe bounds).
+struct SlotCols {
+  const Slots& slots;
+  const Value& column(const Expr& e) const {
+    const Slot& s = slots.at(static_cast<std::size_t>(e.bound_table));
+    if (s.batch == nullptr) throw SqlError("internal: unbound tuple slot");
+    return s.batch->cols.at(static_cast<std::size_t>(e.bound_col))[s.lane];
+  }
+  Value aggregate(const Expr&) const { noAggregate(); }
+};
+
+/// The one expression evaluator. Columns and constants are returned by
+/// reference to the stored value; computed results land in `tmp`.
+template <class Cols>
+const Value& eval(const Expr& e, const Cols& cols, Value& tmp) {
+  Value lt;
+  Value rt;
   switch (e.kind) {
     case Expr::Kind::Literal:
     case Expr::Kind::Param:  // bind() stored the parameter value in `value`
       return e.value;
-    case Expr::Kind::Column: {
-      const Row* row = tuple.at(e.bound_table);
-      if (row == nullptr) throw SqlError("internal: unbound tuple slot");
-      return row->at(e.bound_col);
-    }
-    case Expr::Kind::Binary: {
+    case Expr::Kind::Column:
+      return cols.column(e);
+    case Expr::Kind::Binary:
       switch (e.op) {
-        case BinaryOp::And: {
-          if (!truthy(evaluate(*e.lhs, tuple))) return Value(std::int64_t{0});
-          return Value(std::int64_t{truthy(evaluate(*e.rhs, tuple)) ? 1 : 0});
-        }
-        case BinaryOp::Or: {
-          if (truthy(evaluate(*e.lhs, tuple))) return Value(std::int64_t{1});
-          return Value(std::int64_t{truthy(evaluate(*e.rhs, tuple)) ? 1 : 0});
-        }
+        case BinaryOp::And:
+          return tmp = Value(std::int64_t{truthy(eval(*e.lhs, cols, lt)) &&
+                                                  truthy(eval(*e.rhs, cols, rt))
+                                              ? 1
+                                              : 0});
+        case BinaryOp::Or:
+          return tmp = Value(std::int64_t{truthy(eval(*e.lhs, cols, lt)) ||
+                                                  truthy(eval(*e.rhs, cols, rt))
+                                              ? 1
+                                              : 0});
         case BinaryOp::Add:
         case BinaryOp::Sub:
         case BinaryOp::Mul:
         case BinaryOp::Div:
-          return arith(e.op, evaluate(*e.lhs, tuple), evaluate(*e.rhs, tuple));
+          return tmp = arith(e.op, eval(*e.lhs, cols, lt), eval(*e.rhs, cols, rt));
         default:
-          return compare(e.op, evaluate(*e.lhs, tuple), evaluate(*e.rhs, tuple));
+          return tmp = compare(e.op, eval(*e.lhs, cols, lt), eval(*e.rhs, cols, rt));
       }
-    }
     case Expr::Kind::Not:
-      return Value(std::int64_t{truthy(evaluate(*e.lhs, tuple)) ? 0 : 1});
+      return tmp = Value(std::int64_t{truthy(eval(*e.lhs, cols, lt)) ? 0 : 1});
     case Expr::Kind::IsNull: {
-      const bool is_null = evaluate(*e.lhs, tuple).isNull();
-      return Value(std::int64_t{(is_null != e.negated) ? 1 : 0});
+      const bool is_null = eval(*e.lhs, cols, lt).isNull();
+      return tmp = Value(std::int64_t{(is_null != e.negated) ? 1 : 0});
     }
     case Expr::Kind::Like: {
-      const Value v = evaluate(*e.lhs, tuple);
-      if (v.isNull()) return Value(std::int64_t{0});
+      const Value& v = eval(*e.lhs, cols, lt);
+      if (v.isNull()) return tmp = Value(std::int64_t{0});
       const bool hit = likeMatch(v.isText() ? v.asText() : v.toDisplayString(),
                                  e.value.asText());
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
+      return tmp = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
     case Expr::Kind::InList: {
-      const Value v = evaluate(*e.lhs, tuple);
-      if (v.isNull()) return Value(std::int64_t{0});
+      const Value& v = eval(*e.lhs, cols, lt);
+      if (v.isNull()) return tmp = Value(std::int64_t{0});
       bool hit = false;
       for (const ExprPtr& item : e.list) {
-        if (v.compare(evaluate(*item, tuple)) == 0) {
+        if (v.compare(eval(*item, cols, rt)) == 0) {
           hit = true;
           break;
         }
       }
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
+      return tmp = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
     case Expr::Kind::InSelect: {
-      const Value v = evaluate(*e.lhs, tuple);
-      if (v.isNull()) return Value(std::int64_t{0});
+      const Value& v = eval(*e.lhs, cols, lt);
+      if (v.isNull()) return tmp = Value(std::int64_t{0});
       if (!e.subquery_values) {
         throw SqlError("internal: subquery was not materialized");
       }
       EncodedKey key;
       encodeValue(v, key);
       const bool hit = e.subquery_values->contains(key);
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
+      return tmp = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
     case Expr::Kind::Aggregate:
-      throw SqlError("aggregate used outside of an aggregating SELECT");
+      return tmp = cols.aggregate(e);
   }
   throw SqlError("internal: bad expression kind");
+}
+
+/// eval() into an owned value.
+template <class Cols>
+Value evalValue(const Expr& e, const Cols& cols) {
+  Value tmp;
+  const Value& v = eval(e, cols, tmp);
+  if (&v == &tmp) return tmp;
+  return v;
+}
+
+/// Whether every conjunct holds (stops at the first that does not).
+template <class Cols>
+bool allHold(const std::vector<Expr*>& conjuncts, const Cols& cols) {
+  Value tmp;
+  for (const Expr* e : conjuncts) {
+    if (!truthy(eval(*e, cols, tmp))) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Value evaluate(const Expr& e, const Tuple& tuple) {
+  return evalValue(e, TupleCols{tuple});
 }
 
 Value evalConst(const Expr& e) {
@@ -334,14 +424,14 @@ struct AggState {
   bool saw_real = false;
   Value min;
   Value max;
-  std::set<EncodedKey> distinct;
+  std::map<EncodedKey, Value> distinct;  // DISTINCT aggregates: values seen
 
   void add(const Value& v, bool distinct_only) {
     if (v.isNull()) return;
     if (distinct_only) {
       EncodedKey key;
       encodeValue(v, key);
-      if (!distinct.insert(key).second) return;
+      if (!distinct.emplace(std::move(key), v).second) return;
     }
     ++count;
     if (v.isReal()) {
@@ -353,6 +443,22 @@ struct AggState {
     }
     if (min.isNull() || v.compare(min) < 0) min = v;
     if (max.isNull() || v.compare(max) > 0) max = v;
+  }
+
+  /// Folds another worker's partial state of the same aggregate into this
+  /// one; a DISTINCT state re-adds the other's values so duplicates across
+  /// workers count once.
+  void merge(const AggState& o, bool distinct_only) {
+    if (distinct_only) {
+      for (const auto& [key, v] : o.distinct) add(v, true);
+      return;
+    }
+    count += o.count;
+    isum += o.isum;
+    rsum += o.rsum;
+    saw_real = saw_real || o.saw_real;
+    if (!o.min.isNull() && (min.isNull() || o.min.compare(min) < 0)) min = o.min;
+    if (!o.max.isNull() && (max.isNull() || o.max.compare(max) > 0)) max = o.max;
   }
 
   Value result(AggFunc fn) const {
@@ -371,86 +477,89 @@ struct AggState {
   }
 };
 
+using OutputRows = std::vector<std::pair<Row, std::vector<Value>>>;
+
 struct Group {
-  Row key_values;
-  std::vector<Row> first_rows;  // deep copy of the group's first input tuple
+  Row first_row;  // the group's first input tuple, FROM entries side by side
   std::vector<AggState> aggs;
 };
 
-/// Evaluates an expression in grouped mode: Aggregate nodes read their
-/// accumulated slot; everything else evaluates against the group's first
-/// input tuple (SQLite-style bare-column semantics).
-Value evaluateGrouped(const Expr& e, const Group& g) {
-  if (e.kind == Expr::Kind::Aggregate) {
-    return g.aggs.at(e.agg_slot).result(e.agg);
+/// Grouped mode: Aggregate nodes read their accumulated slot; columns read
+/// the group's first input tuple (SQLite-style bare-column semantics).
+struct GroupCols {
+  const Group& group;
+  const Layout& layout;
+  const Value& column(const Expr& e) const { return group.first_row.at(layout.of(e)); }
+  Value aggregate(const Expr& e) const {
+    return group.aggs.at(static_cast<std::size_t>(e.agg_slot)).result(e.agg);
   }
-  switch (e.kind) {
-    case Expr::Kind::Literal:
-    case Expr::Kind::Param:
-      return e.value;
-    case Expr::Kind::Column:
-      return g.first_rows.at(e.bound_table).at(e.bound_col);
-    case Expr::Kind::Binary: {
-      switch (e.op) {
-        case BinaryOp::And:
-          return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) &&
-                                            truthy(evaluateGrouped(*e.rhs, g))
-                                        ? 1
-                                        : 0});
-        case BinaryOp::Or:
-          return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) ||
-                                            truthy(evaluateGrouped(*e.rhs, g))
-                                        ? 1
-                                        : 0});
-        case BinaryOp::Add:
-        case BinaryOp::Sub:
-        case BinaryOp::Mul:
-        case BinaryOp::Div:
-          return arith(e.op, evaluateGrouped(*e.lhs, g), evaluateGrouped(*e.rhs, g));
-        default:
-          return compare(e.op, evaluateGrouped(*e.lhs, g), evaluateGrouped(*e.rhs, g));
-      }
-    }
-    case Expr::Kind::Not:
-      return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) ? 0 : 1});
-    case Expr::Kind::IsNull: {
-      const bool is_null = evaluateGrouped(*e.lhs, g).isNull();
-      return Value(std::int64_t{(is_null != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::Like: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      const bool hit = likeMatch(v.isText() ? v.asText() : v.toDisplayString(),
-                                 e.value.asText());
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::InList: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      bool hit = false;
-      for (const ExprPtr& item : e.list) {
-        if (v.compare(evaluateGrouped(*item, g)) == 0) {
-          hit = true;
-          break;
-        }
-      }
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::InSelect: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      if (!e.subquery_values) {
-        throw SqlError("internal: subquery was not materialized");
-      }
-      EncodedKey key;
-      encodeValue(v, key);
-      const bool hit = e.subquery_values->contains(key);
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::Aggregate:
-      break;  // handled above
+};
+
+/// The grouped tail shared by AggregateOp and GatherOp: applies HAVING and
+/// appends the group's output row and ORDER BY keys. `layout` is the
+/// layout of the joined batches first_row was taken from.
+void emitGroup(const SelectPlan& plan, const Layout& layout, const Group& g,
+               OutputRows& out) {
+  const SelectStmt& sel = *plan.sel;
+  const GroupCols cols{g, layout};
+  if (sel.having && !truthy(evalValue(*sel.having, cols))) return;
+  Row row;
+  row.reserve(plan.outputs.size());
+  for (const SelectPlan::OutputCol& o : plan.outputs) {
+    row.push_back(evalValue(*o.expr, cols));
   }
-  throw SqlError("internal: bad grouped expression");
+  std::vector<Value> keys;
+  keys.reserve(sel.order_by.size());
+  for (const OrderItem& item : sel.order_by) {
+    keys.push_back(evalValue(*item.expr, cols));
+  }
+  out.emplace_back(std::move(row), std::move(keys));
+}
+
+/// A fully-aggregated SELECT over zero input rows still yields one row; bare
+/// column refs are undefined over an empty input and report NULL.
+void emitEmptyInputRow(const SelectPlan& plan, OutputRows& out) {
+  Group empty;
+  empty.aggs.resize(plan.aggregates.size());
+  const Layout none{};
+  Row row;
+  for (const SelectPlan::OutputCol& o : plan.outputs) {
+    if (containsAggregate(o.expr) || o.expr->kind == Expr::Kind::Literal) {
+      row.push_back(evalValue(*o.expr, GroupCols{empty, none}));
+    } else {
+      row.push_back(Value::null());
+    }
+  }
+  out.emplace_back(std::move(row), std::vector<Value>{});
+}
+
+/// Adds lane `cols.lane` of `b` to its group in `groups` (keyed by the
+/// encoded GROUP BY values; the lane that creates a group becomes its first
+/// tuple) and folds in every aggregate's argument. Returns the group and
+/// whether this lane created it.
+template <class Map>
+std::pair<typename Map::mapped_type*, bool> accumulateLane(Map& groups,
+                                                           const SelectPlan& plan,
+                                                           const RowBatch& b,
+                                                           const LaneCols& cols) {
+  EncodedKey key;
+  Value tmp;
+  for (const ExprPtr& e : plan.sel->group_by) encodeValue(eval(*e, cols, tmp), key);
+  auto [it, inserted] = groups.try_emplace(std::move(key));
+  Group& g = it->second;
+  if (inserted) {
+    g.aggs.resize(plan.aggregates.size());
+    b.materializeRow(cols.lane, g.first_row);
+  }
+  for (std::size_t a = 0; a < plan.aggregates.size(); ++a) {
+    const Expr* agg = plan.aggregates[a];
+    if (agg->lhs) {
+      g.aggs[a].add(eval(*agg->lhs, cols, tmp), agg->agg_distinct);
+    } else {
+      ++g.aggs[a].count;  // COUNT(*)
+    }
+  }
+  return {&it->second, inserted};
 }
 
 }  // namespace
@@ -753,176 +862,10 @@ ExecCounters& execCounters() {
   return *c;
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized expression evaluation
-//
-// evalRows() is the batch twin of evaluate(): it computes `e` for every row
-// index in `sel` against a single-table batch (Column refs resolve through
-// bound_col; every expression reaching here binds table 0 only). `out` is
-// sized to the batch and only the `sel` lanes are written. And/Or evaluate
-// the right side only on the lanes the row path would have reached, so the
-// two evaluators agree even on expressions that throw (e.g. an InSelect
-// whose subquery was never materialized).
-// ---------------------------------------------------------------------------
-
-void evalRows(const Expr& e, const RowBatch& b,
-              const std::vector<std::uint32_t>& sel, std::vector<Value>& out) {
-  out.resize(b.nrows);
-  switch (e.kind) {
-    case Expr::Kind::Literal:
-    case Expr::Kind::Param:
-      for (const std::uint32_t i : sel) out[i] = e.value;
-      return;
-    case Expr::Kind::Column: {
-      const std::vector<Value>& col =
-          b.cols.at(static_cast<std::size_t>(e.bound_col));
-      for (const std::uint32_t i : sel) out[i] = col[i];
-      return;
-    }
-    case Expr::Kind::Binary: {
-      switch (e.op) {
-        case BinaryOp::And: {
-          std::vector<Value> lhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          std::vector<std::uint32_t> live;
-          live.reserve(sel.size());
-          for (const std::uint32_t i : sel) {
-            if (truthy(lhs[i])) {
-              live.push_back(i);
-            } else {
-              out[i] = Value(std::int64_t{0});
-            }
-          }
-          std::vector<Value> rhs;
-          evalRows(*e.rhs, b, live, rhs);
-          for (const std::uint32_t i : live) {
-            out[i] = Value(std::int64_t{truthy(rhs[i]) ? 1 : 0});
-          }
-          return;
-        }
-        case BinaryOp::Or: {
-          std::vector<Value> lhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          std::vector<std::uint32_t> live;
-          live.reserve(sel.size());
-          for (const std::uint32_t i : sel) {
-            if (truthy(lhs[i])) {
-              out[i] = Value(std::int64_t{1});
-            } else {
-              live.push_back(i);
-            }
-          }
-          std::vector<Value> rhs;
-          evalRows(*e.rhs, b, live, rhs);
-          for (const std::uint32_t i : live) {
-            out[i] = Value(std::int64_t{truthy(rhs[i]) ? 1 : 0});
-          }
-          return;
-        }
-        case BinaryOp::Add:
-        case BinaryOp::Sub:
-        case BinaryOp::Mul:
-        case BinaryOp::Div: {
-          std::vector<Value> lhs;
-          std::vector<Value> rhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          evalRows(*e.rhs, b, sel, rhs);
-          for (const std::uint32_t i : sel) out[i] = arith(e.op, lhs[i], rhs[i]);
-          return;
-        }
-        default: {
-          std::vector<Value> lhs;
-          std::vector<Value> rhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          evalRows(*e.rhs, b, sel, rhs);
-          for (const std::uint32_t i : sel) out[i] = compare(e.op, lhs[i], rhs[i]);
-          return;
-        }
-      }
-    }
-    case Expr::Kind::Not: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        out[i] = Value(std::int64_t{truthy(lhs[i]) ? 0 : 1});
-      }
-      return;
-    }
-    case Expr::Kind::IsNull: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        out[i] = Value(std::int64_t{(lhs[i].isNull() != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::Like: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      const std::string_view pattern = e.value.asText();
-      for (const std::uint32_t i : sel) {
-        const Value& v = lhs[i];
-        if (v.isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        const bool hit =
-            likeMatch(v.isText() ? v.asText() : v.toDisplayString(), pattern);
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::InList: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      std::vector<std::vector<Value>> items(e.list.size());
-      for (std::size_t k = 0; k < e.list.size(); ++k) {
-        evalRows(*e.list[k], b, sel, items[k]);
-      }
-      for (const std::uint32_t i : sel) {
-        if (lhs[i].isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        bool hit = false;
-        for (const std::vector<Value>& item : items) {
-          if (lhs[i].compare(item[i]) == 0) {
-            hit = true;
-            break;
-          }
-        }
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::InSelect: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        if (lhs[i].isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        if (!e.subquery_values) {
-          throw SqlError("internal: subquery was not materialized");
-        }
-        EncodedKey key;
-        encodeValue(lhs[i], key);
-        const bool hit = e.subquery_values->contains(key);
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::Aggregate:
-      throw SqlError("aggregate used outside of an aggregating SELECT");
-  }
-  throw SqlError("internal: bad expression kind");
-}
-
 /// Produces the candidate rows of one FROM entry for the current binding of
-/// the earlier tuple slots. produced() counts rows emitted since open().
-/// Like RowOp, the public surface wraps virtual do*() hooks so EXPLAIN
-/// ANALYZE can account loops/rows/time per iterator stage.
+/// the earlier levels, a batch at a time. produced() counts rows emitted
+/// since open(). Like RowOp, the public surface wraps virtual do*() hooks so
+/// EXPLAIN ANALYZE can account loops/rows/time per iterator stage.
 class SlotIter {
  public:
   virtual ~SlotIter() = default;
@@ -933,15 +876,9 @@ class SlotIter {
     const detail::OpTick tick(stats_);
     doOpen();
   }
-  bool next(Row& out) {
-    if (!stats_.timed) return doNext(out);
-    const detail::OpTick tick(stats_);
-    const bool ok = doNext(out);
-    if (ok) ++stats_.rows;
-    return ok;
-  }
-  /// Batch pull; returns false only at end of stream (a true return carries
-  /// at least one live row).
+  /// Returns false only at end of stream (a true return carries at least
+  /// one live row). Batch lanes index the rows the chain's leaf emitted;
+  /// filter stages only shrink `sel`.
   bool nextBatch(RowBatch& out) {
     if (!stats_.timed) return doNextBatch(out);
     const detail::OpTick tick(stats_);
@@ -963,6 +900,10 @@ class SlotIter {
   virtual void setAnalyze(bool on) { stats_.timed = on; }
   std::size_t produced() const { return produced_; }
 
+  /// Rank base of the batch last returned: morsel-fed level-0 iterators
+  /// return (morsel id << kMorselRowBits), so lane i ranks at tag + i.
+  virtual std::uint64_t batchTag() const { return 0; }
+
   /// Appends this stage's OpStats pointer (children first is not required;
   /// the order only has to match between two chains built from the same
   /// plan, which GatherOp relies on to roll worker stats into the template
@@ -971,20 +912,7 @@ class SlotIter {
 
  protected:
   virtual void doOpen() = 0;
-  virtual bool doNext(Row& out) = 0;
-  /// Default adapter: loops doNext(), transposing rows into the batch's
-  /// columns (Value moves, so string payloads are stolen, not copied).
-  /// FilterIter overrides it to compact the selection vector instead.
-  virtual bool doNextBatch(RowBatch& b) {
-    b.clearRows();
-    const std::size_t cap = b.capacity > 0 ? b.capacity : 1;
-    Row row;
-    while (b.nrows < cap && doNext(row)) {
-      b.appendMoveValues(row);
-      row.clear();
-    }
-    return b.nrows > 0;
-  }
+  virtual bool doNextBatch(RowBatch& b) = 0;
   virtual void doClose() = 0;
   virtual void doDescribe(std::vector<std::string>& lines, int depth) const = 0;
 
@@ -992,150 +920,166 @@ class SlotIter {
   OpStats stats_;
 };
 
-class SeqScanIter : public SlotIter {
+/// An access-path leaf. Storage cursors step one record at a time; the leaf
+/// fills its batch by stepping readRow() up to the batch capacity, and
+/// remembers the end so a refill after it costs nothing. Index bounds
+/// evaluate against the nested loop's current binding (`slots`).
+class LeafIter : public SlotIter {
  public:
-  SeqScanIter(Database& db, const SelectPlan::AccessPath& path,
-              const SelectPlan::FromEntry& entry)
-      : db_(&db), path_(&path), entry_(&entry) {}
+  LeafIter(Database& db, const SelectPlan& plan, std::size_t t, const Slots& slots)
+      : db_(&db), path_(&plan.paths[t]), entry_(&plan.from[t]), slots_(&slots) {}
 
-  void doOpen() override {
+ protected:
+  virtual void openLeaf() = 0;
+  virtual bool readRow(Row& out) = 0;
+
+  void doOpen() final {
     produced_ = 0;
-    cur_.emplace(db_->openCursor(entry_->def->name));
+    at_end_ = false;
+    openLeaf();
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
-    if (!cur_ || !cur_->next(rid, out)) return false;
-    ++produced_;
-    return true;
-  }
-  void doClose() override { cur_.reset(); }
-  void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    lines.push_back(indentOf(depth) + path_->describe(*entry_));
-  }
-
- private:
-  Database* db_;
-  const SelectPlan::AccessPath* path_;
-  const SelectPlan::FromEntry* entry_;
-  std::optional<Database::TableCursor> cur_;
-};
-
-class IndexEqualIter : public SlotIter {
- public:
-  IndexEqualIter(Database& db, const SelectPlan::AccessPath& path,
-                 const SelectPlan::FromEntry& entry, const Tuple& tuple)
-      : db_(&db), path_(&path), entry_(&entry), tuple_(&tuple) {}
-
-  void doOpen() override {
-    produced_ = 0;
-    cur_.reset();
-    const Value key = evaluate(*path_->equal_rhs, *tuple_);
-    if (!key.isNull()) {  // col = NULL matches nothing; may null-extend
-      cur_.emplace(db_->openIndexEqual(*path_->index, {key}));
-    }
-  }
-  bool doNext(Row& out) override {
-    RecordId rid;
-    if (!cur_ || !cur_->next(rid, out)) return false;
-    ++produced_;
-    return true;
-  }
-  void doClose() override { cur_.reset(); }
-  void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    lines.push_back(indentOf(depth) + path_->describe(*entry_));
-  }
-
- private:
-  Database* db_;
-  const SelectPlan::AccessPath* path_;
-  const SelectPlan::FromEntry* entry_;
-  const Tuple* tuple_;
-  std::optional<Database::IndexCursor> cur_;
-};
-
-/// Sorted multi-point probe: one B+-tree descent per distinct key, in key
-/// order, instead of a heap scan with per-row membership.
-class IndexInListIter : public SlotIter {
- public:
-  IndexInListIter(Database& db, const SelectPlan::AccessPath& path,
-                  const SelectPlan::FromEntry& entry, const Tuple& tuple)
-      : db_(&db), path_(&path), entry_(&entry), tuple_(&tuple) {}
-
-  void doOpen() override {
-    produced_ = 0;
-    cur_.reset();
-    next_key_ = 0;
-    keys_.clear();
-    keys_.reserve(path_->in_list->list.size());
-    for (const ExprPtr& item : path_->in_list->list) {
-      Value v = evaluate(*item, *tuple_);
-      if (!v.isNull()) keys_.push_back(std::move(v));
-    }
-    std::sort(keys_.begin(), keys_.end(),
-              [](const Value& a, const Value& b) { return a.compare(b) < 0; });
-    keys_.erase(std::unique(keys_.begin(), keys_.end(),
-                            [](const Value& a, const Value& b) {
-                              return a.compare(b) == 0;
-                            }),
-                keys_.end());
-  }
-  bool doNext(Row& out) override {
-    RecordId rid;
-    for (;;) {
-      if (cur_ && cur_->next(rid, out)) {
-        ++produced_;
-        return true;
+  bool doNextBatch(RowBatch& b) final {
+    if (at_end_) return false;
+    b.clearRows();
+    const std::size_t cap = b.capacity > 0 ? b.capacity : 1;
+    while (b.nrows < cap) {
+      if (!readRow(row_)) {
+        at_end_ = true;
+        break;
       }
-      if (next_key_ >= keys_.size()) return false;
-      cur_.emplace(db_->openIndexEqual(*path_->index, {keys_[next_key_++]}));
+      b.appendMoveValues(row_);
+      row_.clear();
     }
+    produced_ += b.nrows;
+    return b.nrows > 0;
+  }
+  void doDescribe(std::vector<std::string>& lines, int depth) const override {
+    lines.push_back(indentOf(depth) + path_->describe(*entry_));
+  }
+
+  Database* db_;
+  const SelectPlan::AccessPath* path_;
+  const SelectPlan::FromEntry* entry_;
+  const Slots* slots_;
+
+ private:
+  Row row_;
+  bool at_end_ = false;
+};
+
+/// Sequential scan, index point probe, or index range: one storage cursor.
+///
+/// A unique-key point probe whose key repeats on the next open (an inner
+/// join level whose consecutive outer rows share the join key, like the
+/// results of one execution) records that probe's row and replays it for
+/// every further open with the same key. Rows cannot change while the
+/// pipeline runs: the cursor pin (or snapshot) blocks mutations.
+class CursorIter : public LeafIter {
+ public:
+  using LeafIter::LeafIter;
+
+ protected:
+  void openLeaf() override {
+    scan_.reset();
+    probe_.reset();
+    replaying_ = false;
+    recording_ = false;
+    const SlotCols cols{*slots_};
+    switch (path_->kind) {
+      case SelectPlan::AccessPath::Kind::Scan:
+        scan_.emplace(db_->openCursor(entry_->def->name));
+        break;
+      case SelectPlan::AccessPath::Kind::IndexEqual: {
+        Value key = evalValue(*path_->equal_rhs, cols);
+        if (key.isNull()) break;  // col = NULL matches nothing; may null-extend
+        if (path_->index->unique) {
+          if (last_key_ && last_key_->compare(key) == 0) {
+            replaying_ = memo_ready_;
+            recording_ = !memo_ready_;
+          } else {
+            last_key_ = key;
+            memo_ready_ = false;
+          }
+          if (replaying_) {
+            replay_ = 0;
+            break;
+          }
+          memo_.clear();
+        }
+        probe_.emplace(db_->openIndexEqual(*path_->index, {std::move(key)}));
+        break;
+      }
+      default: {  // IndexRange
+        std::optional<Value> lower;
+        std::optional<Value> upper;
+        if (path_->lower_rhs) lower = evalValue(*path_->lower_rhs, cols);
+        if (path_->upper_rhs) upper = evalValue(*path_->upper_rhs, cols);
+        probe_.emplace(db_->openIndexRange(*path_->index, std::move(lower),
+                                           path_->lower_inclusive, std::move(upper),
+                                           path_->upper_inclusive));
+      }
+    }
+  }
+  bool readRow(Row& out) override {
+    RecordId rid;
+    if (scan_) return scan_->next(rid, out);
+    if (replaying_) {
+      if (replay_ >= memo_.size()) return false;
+      out = memo_[replay_++];
+      return true;
+    }
+    if (!probe_) return false;
+    if (probe_->next(rid, out)) {
+      if (recording_) memo_.push_back(out);
+      return true;
+    }
+    memo_ready_ = recording_;  // only a probe read to its end is replayable
+    return false;
   }
   void doClose() override {
-    cur_.reset();
-    keys_.clear();
-    next_key_ = 0;
-  }
-  void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    lines.push_back(indentOf(depth) + path_->describe(*entry_));
+    scan_.reset();
+    probe_.reset();
   }
 
  private:
-  Database* db_;
-  const SelectPlan::AccessPath* path_;
-  const SelectPlan::FromEntry* entry_;
-  const Tuple* tuple_;
-  std::vector<Value> keys_;
-  std::size_t next_key_ = 0;
-  std::optional<Database::IndexCursor> cur_;
+  std::optional<Database::TableCursor> scan_;
+  std::optional<Database::IndexCursor> probe_;
+  std::optional<Value> last_key_;  // key of the last point probe
+  std::vector<Row> memo_;          // its row (if any), recorded on a repeat
+  bool memo_ready_ = false;        // memo_ holds every row of last_key_
+  bool recording_ = false;
+  bool replaying_ = false;
+  std::size_t replay_ = 0;
 };
 
-/// IN-list probe answered from the inverted index: each key's rid posting
-/// is decoded and rows are fetched by RecordId. Packed rids are ascending
-/// (page, slot), which is exactly the order a B+-tree point probe emits
-/// rows for one key, so the row stream is byte-identical to
-/// IndexInListIter's. Falls back to B-tree point probes when the index
-/// declines (snapshot read, undecodable column) or a key is not an
-/// integer.
-class PostingInListIter : public SlotIter {
+/// IN-list probe over the keys' sorted, deduplicated non-NULL values (col IN
+/// (..., NULL) never matches NULL). IndexInList is a sorted multi-point
+/// probe: one B+-tree descent per distinct key, in key order.
+/// PostingInList answers from the inverted index instead: each key's rid
+/// posting is decoded and rows are fetched by RecordId. Packed rids ascend
+/// (page, slot), exactly the order a B+-tree point probe emits one key's
+/// rows, so both forms stream identical rows. The posting form falls back
+/// to the B-tree when the index declines (snapshot read, a non-integer
+/// value in the column) or a key is not an integer; EXPLAIN ANALYZE names
+/// the reason.
+class InListIter : public LeafIter {
  public:
-  PostingInListIter(Database& db, const SelectPlan::AccessPath& path,
-                    const SelectPlan::FromEntry& entry, const Tuple& tuple)
-      : db_(&db), path_(&path), entry_(&entry), tuple_(&tuple) {}
+  using LeafIter::LeafIter;
 
-  void doOpen() override {
-    produced_ = 0;
+ protected:
+  void openLeaf() override {
     probes_ = 0;
     hits_ = 0;
     cur_.reset();
     pcur_.reset();
     index_.reset();
     next_key_ = 0;
+    decline_.clear();
     keys_.clear();
-    keys_.reserve(path_->in_list->list.size());
     bool all_int = true;
     for (const ExprPtr& item : path_->in_list->list) {
-      Value v = evaluate(*item, *tuple_);
-      if (v.isNull()) continue;  // col IN (..., NULL, ...) never matches NULL
+      Value v = evalValue(*item, SlotCols{*slots_});
+      if (v.isNull()) continue;
       all_int = all_int && v.isInt();
       keys_.push_back(std::move(v));
     }
@@ -1146,15 +1090,21 @@ class PostingInListIter : public SlotIter {
                               return a.compare(b) == 0;
                             }),
                 keys_.end());
-    if (all_int) {
-      index_ = db_->invidx().ridIndex(entry_->def->name, path_->key_column);
-    } else {
+    if (path_->kind != SelectPlan::AccessPath::Kind::PostingInList) return;
+    if (!all_int) {
       // Mixed-type key list: the manager never saw this probe, count the
       // fallback here (the manager counts its own declines).
       invidx::counters().fallbacks.inc();
+      decline_ = "non-integer key";
+      return;
+    }
+    index_ = db_->invidx().ridIndex(entry_->def->name, path_->key_column);
+    if (!index_) {
+      decline_ = db_->pager().snapshotScopeActive() ? "snapshot read"
+                                                    : "non-integer column value";
     }
   }
-  bool doNext(Row& out) override {
+  bool readRow(Row& out) override {
     for (;;) {
       if (index_) {
         if (pcur_ && pcur_->valid()) {
@@ -1165,14 +1115,12 @@ class PostingInListIter : public SlotIter {
           std::optional<Row> row = db_->readRow(entry_->def->name, rid);
           if (!row) continue;  // defensive: a valid index has no dangling rids
           out = std::move(*row);
-          ++produced_;
           return true;
         }
         if (next_key_ >= keys_.size()) return false;
         ++probes_;
         invidx::counters().probes.inc();
-        const invidx::PostingList* pl =
-            index_->find(keys_[next_key_++].asInt());
+        const invidx::PostingList* pl = index_->find(keys_[next_key_++].asInt());
         pcur_.reset();
         if (pl) {
           hits_ += pl->size();
@@ -1180,12 +1128,8 @@ class PostingInListIter : public SlotIter {
         }
         continue;
       }
-      // B-tree fallback, identical to IndexInListIter.
       RecordId rid;
-      if (cur_ && cur_->next(rid, out)) {
-        ++produced_;
-        return true;
-      }
+      if (cur_ && cur_->next(rid, out)) return true;
       if (next_key_ >= keys_.size()) return false;
       cur_.emplace(db_->openIndexEqual(*path_->index, {keys_[next_key_++]}));
     }
@@ -1202,127 +1146,49 @@ class PostingInListIter : public SlotIter {
     if (probes_ > 0) {
       line += " [postings: " + std::to_string(probes_) + " probed, " +
               std::to_string(hits_) + " ids]";
-    } else if (produced_ > 0 || next_key_ > 0) {
-      line += " [btree fallback]";
+    } else if (!decline_.empty() && (produced_ > 0 || next_key_ > 0)) {
+      line += " [btree fallback: " + decline_ + "]";
     }
     lines.push_back(line);
   }
 
  private:
-  Database* db_;
-  const SelectPlan::AccessPath* path_;
-  const SelectPlan::FromEntry* entry_;
-  const Tuple* tuple_;
-  std::shared_ptr<const invidx::RidIndex> index_;
+  std::shared_ptr<const invidx::RidIndex> index_;  // posting form only
   std::vector<Value> keys_;
   std::size_t next_key_ = 0;
   std::size_t probes_ = 0;
   std::size_t hits_ = 0;
+  std::string decline_;  // why the posting form fell back to the B-tree
   std::optional<invidx::PostingList::Cursor> pcur_;
   std::optional<Database::IndexCursor> cur_;
 };
 
-class IndexRangeIter : public SlotIter {
- public:
-  IndexRangeIter(Database& db, const SelectPlan::AccessPath& path,
-                 const SelectPlan::FromEntry& entry, const Tuple& tuple)
-      : db_(&db), path_(&path), entry_(&entry), tuple_(&tuple) {}
-
-  void doOpen() override {
-    produced_ = 0;
-    std::optional<Value> lower;
-    std::optional<Value> upper;
-    if (path_->lower_rhs) lower = evaluate(*path_->lower_rhs, *tuple_);
-    if (path_->upper_rhs) upper = evaluate(*path_->upper_rhs, *tuple_);
-    cur_.emplace(db_->openIndexRange(*path_->index, std::move(lower),
-                                     path_->lower_inclusive, std::move(upper),
-                                     path_->upper_inclusive));
+/// The leaf for `plan.paths[t]`.
+std::unique_ptr<SlotIter> makeLeaf(Database& db, const SelectPlan& plan,
+                                   std::size_t t, const Slots& slots) {
+  switch (plan.paths[t].kind) {
+    case SelectPlan::AccessPath::Kind::IndexInList:
+    case SelectPlan::AccessPath::Kind::PostingInList:
+      return std::make_unique<InListIter>(db, plan, t, slots);
+    default:
+      return std::make_unique<CursorIter>(db, plan, t, slots);
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
-    if (!cur_ || !cur_->next(rid, out)) return false;
-    ++produced_;
-    return true;
-  }
-  void doClose() override { cur_.reset(); }
-  void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    lines.push_back(indentOf(depth) + path_->describe(*entry_));
-  }
+}
 
- private:
-  Database* db_;
-  const SelectPlan::AccessPath* path_;
-  const SelectPlan::FromEntry* entry_;
-  const Tuple* tuple_;
-  std::optional<Database::IndexCursor> cur_;
-};
-
-/// Applies a conjunct list to the child's rows. Binds the candidate row into
-/// its tuple slot while evaluating (the slot's final binding is re-set by the
-/// nested loop once the row is accepted).
+/// Applies a conjunct list to the child's batches, compacting the selection
+/// vector. While a lane is tested, the level's slot points at it; columns
+/// of earlier FROM entries read the nested loop's current binding.
 class FilterIter : public SlotIter {
  public:
   FilterIter(std::unique_ptr<SlotIter> child, std::vector<Expr*> conjuncts,
-             Tuple& tuple, std::size_t slot, bool is_on)
+             Slots& slots, std::size_t slot, bool is_on)
       : child_(std::move(child)),
         conjuncts_(std::move(conjuncts)),
-        tuple_(&tuple),
+        slots_(&slots),
         slot_(slot),
         is_on_(is_on) {}
 
-  void doOpen() override {
-    produced_ = 0;
-    child_->open();
-  }
-  bool doNext(Row& out) override {
-    while (child_->next(out)) {
-      (*tuple_)[slot_] = &out;
-      bool pass = true;
-      for (const Expr* e : conjuncts_) {
-        if (!truthy(evaluate(*e, *tuple_))) {
-          pass = false;
-          break;
-        }
-      }
-      (*tuple_)[slot_] = nullptr;
-      if (pass) {
-        ++produced_;
-        return true;
-      }
-    }
-    return false;
-  }
-  /// Vectorized only at slot 0 (every conjunct due there binds table 0, so
-  /// evalRows needs no tuple context); inner join levels are always driven
-  /// row-at-a-time and keep the tuple-binding path above.
-  bool doNextBatch(RowBatch& b) override {
-    if (slot_ != 0) return SlotIter::doNextBatch(b);
-    for (;;) {
-      if (!child_->nextBatch(b)) return false;
-      for (const Expr* e : conjuncts_) {
-        if (b.sel.empty()) break;
-        evalRows(*e, b, b.sel, eval_scratch_);
-        sel_scratch_.clear();
-        for (const std::uint32_t i : b.sel) {
-          if (truthy(eval_scratch_[i])) sel_scratch_.push_back(i);
-        }
-        b.sel.swap(sel_scratch_);
-      }
-      // A batch whose selection vector emptied stays internal: loop for the
-      // next child batch rather than emitting a zero-row batch upstream.
-      if (!b.sel.empty()) {
-        produced_ += b.sel.size();
-        return true;
-      }
-    }
-  }
-  void doClose() override { child_->close(); }
-  void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    lines.push_back(indentOf(depth) + (is_on_ ? "FILTER ON (" : "FILTER (") +
-                    std::to_string(conjuncts_.size()) + " conjunct" +
-                    (conjuncts_.size() == 1 ? "" : "s") + ")");
-    child_->describe(lines, depth + 1);
-  }
+  std::uint64_t batchTag() const override { return child_->batchTag(); }
   void setAnalyze(bool on) override {
     stats_.timed = on;
     child_->setAnalyze(on);
@@ -1332,65 +1198,93 @@ class FilterIter : public SlotIter {
     child_->collectStats(out);
   }
 
+ protected:
+  void doOpen() override {
+    produced_ = 0;
+    child_->open();
+  }
+  bool doNextBatch(RowBatch& b) override {
+    Slot& slot = (*slots_)[slot_];
+    const SlotCols cols{*slots_};
+    while (child_->nextBatch(b)) {
+      slot.batch = &b;
+      sel_scratch_.clear();
+      for (const std::uint32_t i : b.sel) {
+        slot.lane = i;
+        if (allHold(conjuncts_, cols)) sel_scratch_.push_back(i);
+      }
+      slot.batch = nullptr;
+      b.sel.swap(sel_scratch_);
+      // A batch whose selection vector emptied stays internal: loop for the
+      // next child batch rather than emitting a zero-row batch upstream.
+      if (!b.sel.empty()) {
+        produced_ += b.sel.size();
+        return true;
+      }
+    }
+    return false;
+  }
+  void doClose() override { child_->close(); }
+  void doDescribe(std::vector<std::string>& lines, int depth) const override {
+    lines.push_back(indentOf(depth) + (is_on_ ? "FILTER ON (" : "FILTER (") +
+                    std::to_string(conjuncts_.size()) + " conjunct" +
+                    (conjuncts_.size() == 1 ? "" : "s") + ")");
+    child_->describe(lines, depth + 1);
+  }
+
  private:
   std::unique_ptr<SlotIter> child_;
   std::vector<Expr*> conjuncts_;
-  Tuple* tuple_;
+  Slots* slots_;
   std::size_t slot_;
   bool is_on_;
-  std::vector<Value> eval_scratch_;
   std::vector<std::uint32_t> sel_scratch_;
 };
 
 // ---------------------------------------------------------------------------
-// NestedLoop — iterative join over the per-table SlotIter chains
+// NestedLoop — batch-at-a-time join over the per-table SlotIter chains
 // ---------------------------------------------------------------------------
 
-/// Pull-based nested-loop join. LEFT JOIN follows standard semantics: a row
-/// "matches" when it passes the table's ON conjuncts; if nothing matches,
-/// one null-extended tuple is produced and only non-ON (WHERE) conjuncts
-/// apply to it.
+/// Marks every column an expression reads (subqueries bind their own FROM
+/// list and are skipped).
+void markColumns(const Expr* e, std::vector<std::vector<bool>>& used) {
+  if (e == nullptr) return;
+  if (e->kind == Expr::Kind::Column) {
+    used[static_cast<std::size_t>(e->bound_table)][static_cast<std::size_t>(e->bound_col)] =
+        true;
+    return;
+  }
+  markColumns(e->lhs.get(), used);
+  markColumns(e->rhs.get(), used);
+  for (const ExprPtr& item : e->list) markColumns(item.get(), used);
+}
+
+/// Pull-based nested-loop join that fills column-major output batches. A
+/// joined tuple is one output lane with the FROM entries' columns side by
+/// side (see Layout); only columns read above the join (outputs, grouping,
+/// HAVING, ORDER BY) are copied. A single-table loop hands the level-0
+/// chain's batches up untouched.
+///
+/// Inner levels are opened once per outer row (EXPLAIN ANALYZE loops=) and
+/// pulled at most the output's remaining room at a time, so an early stop
+/// above (LIMIT) reads no further ahead than the room it asked for. LEFT
+/// JOIN follows standard semantics: a row "matches" when it passes the
+/// table's ON conjuncts; if nothing matches, one null-extended row is
+/// produced and only non-ON (WHERE) conjuncts apply to it.
 class NestedLoop {
  public:
   /// `level0` (optional) replaces the base scan/probe iterator of the first
   /// FROM entry; GatherOp feeds per-worker loops from a shared MorselSource
   /// this way while the filter chain and join levels stay identical.
-  /// `batch_outer` turns off the batched outer side: morsel-fed worker loops
-  /// need it off because they read the level-0 iterator's per-row rank after
-  /// every next(), which pre-batching would run ahead of.
   NestedLoop(Database& db, SelectPlan& plan, std::size_t batch_rows,
-             std::unique_ptr<SlotIter> level0 = nullptr, bool batch_outer = true)
-      : plan_(&plan),
-        batch_rows_(batch_rows > 0 ? batch_rows : 1),
-        batch_outer_(batch_outer),
-        tuple_(plan.from.size(), nullptr) {
+             std::unique_ptr<SlotIter> level0 = nullptr)
+      : batch_rows_(batch_rows > 0 ? batch_rows : 1), slots_(plan.from.size()) {
     const SelectStmt& sel = *plan.sel;
     for (std::size_t t = 0; t < plan.from.size(); ++t) {
       Level lv;
       const SelectPlan::AccessPath& path = plan.paths[t];
-      std::unique_ptr<SlotIter> it;
-      if (t == 0 && level0) {
-        it = std::move(level0);
-      } else {
-        switch (path.kind) {
-          case SelectPlan::AccessPath::Kind::Scan:
-            it = std::make_unique<SeqScanIter>(db, path, plan.from[t]);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexEqual:
-            it = std::make_unique<IndexEqualIter>(db, path, plan.from[t], tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexInList:
-            it = std::make_unique<IndexInListIter>(db, path, plan.from[t], tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::PostingInList:
-            it = std::make_unique<PostingInListIter>(db, path, plan.from[t],
-                                                     tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexRange:
-            it = std::make_unique<IndexRangeIter>(db, path, plan.from[t], tuple_);
-            break;
-        }
-      }
+      std::unique_ptr<SlotIter> it =
+          (t == 0 && level0) ? std::move(level0) : makeLeaf(db, plan, t, slots_);
       SlotIter* matched = it.get();
       // Route the conjuncts due at this level: ON conjuncts decide LEFT JOIN
       // matching; the rest filter accepted rows. A conjunct consumed by an
@@ -1411,18 +1305,37 @@ class NestedLoop {
       }
       if (!on_list.empty()) {
         it = std::make_unique<FilterIter>(std::move(it), std::move(on_list),
-                                          tuple_, t, /*is_on=*/true);
+                                          slots_, t, /*is_on=*/true);
         matched = it.get();
       }
       if (!where_list.empty()) {
         it = std::make_unique<FilterIter>(std::move(it), std::move(where_list),
-                                          tuple_, t, /*is_on=*/false);
+                                          slots_, t, /*is_on=*/false);
       }
       lv.top = std::move(it);
       lv.matched_stage = matched;
-      lv.null_row = Row(plan.from[t].def->columns.size());  // all NULL
       lv.left_join = sel.from[t].left_join;
+      if (lv.left_join) {
+        Row nulls(plan.from[t].def->columns.size());
+        lv.null_row.appendMoveValues(nulls);  // one all-NULL lane
+      }
       levels_.push_back(std::move(lv));
+    }
+    if (levels_.size() == 1) return;  // batches pass through: identity layout
+    std::vector<std::vector<bool>> used;
+    for (const SelectPlan::FromEntry& entry : plan.from) {
+      used.emplace_back(entry.def->columns.size(), false);
+    }
+    for (const SelectPlan::OutputCol& out : plan.outputs) markColumns(out.expr, used);
+    for (const ExprPtr& e : sel.group_by) markColumns(e.get(), used);
+    markColumns(sel.having.get(), used);
+    for (const OrderItem& item : sel.order_by) markColumns(item.expr.get(), used);
+    for (std::size_t t = 0; t < used.size(); ++t) {
+      layout_.base.push_back(static_cast<std::uint32_t>(layout_.index.size()));
+      for (std::uint32_t c = 0; c < used[t].size(); ++c) {
+        layout_.index.push_back(used[t][c] ? width_++ : 0);
+        if (used[t][c]) levels_[t].emit.push_back(c);
+      }
     }
   }
 
@@ -1432,22 +1345,13 @@ class NestedLoop {
     const detail::OpTick tick(stats_);
     openImpl();
   }
-  bool next() {
-    if (!stats_.timed) return nextImpl();
+  /// Fills `out` with up to out.capacity joined tuples (batch_rows when 0);
+  /// returns false only at end of stream.
+  bool nextBatch(RowBatch& out) {
+    if (!stats_.timed) return nextBatchImpl(out);
     const detail::OpTick tick(stats_);
-    const bool ok = nextImpl();
-    if (ok) ++stats_.rows;
-    return ok;
-  }
-  /// Columnar passthrough for single-table loops (buildPipeline only drives
-  /// it when levels_.size() == 1): hands the level-0 chain's batch up
-  /// untouched. Rows a row-stepping caller pre-pulled but did not consume
-  /// are emitted first, so next() and nextBatch() can be mixed freely.
-  bool nextBatch(RowBatch& b) {
-    if (!stats_.timed) return nextBatchImpl(b);
-    const detail::OpTick tick(stats_);
-    const bool ok = nextBatchImpl(b);
-    if (ok) stats_.rows += b.active();
+    const bool ok = nextBatchImpl(out);
+    if (ok) stats_.rows += out.active();
     return ok;
   }
   void close() {
@@ -1462,84 +1366,14 @@ class NestedLoop {
     for (Level& lv : levels_) lv.top->setAnalyze(on);
   }
 
-  void openImpl() {
-    started_ = false;
-    done_ = false;
-    std::fill(tuple_.begin(), tuple_.end(), nullptr);
-  }
+  /// Records ranks(): morsel-fed worker loops need each output lane's
+  /// global scan rank for deterministic merges.
+  void trackRanks() { track_ranks_ = true; }
+  /// Per lane of the last output batch: the level-0 iterator's batchTag()
+  /// plus the outer row's lane.
+  const std::vector<std::uint64_t>& ranks() const { return ranks_; }
 
-  bool nextImpl() {
-    if (done_ || levels_.empty()) return false;
-    const int last = static_cast<int>(levels_.size()) - 1;
-    int t;
-    if (!started_) {
-      started_ = true;
-      openLevel(0);
-      t = 0;
-    } else {
-      t = last;  // resume below the tuple we just emitted
-    }
-    while (t >= 0) {
-      Level& lv = levels_[static_cast<std::size_t>(t)];
-      if (lv.null_pending) {
-        lv.null_pending = false;
-        tuple_[static_cast<std::size_t>(t)] = &lv.null_row;
-        if (!nullRowPasses(lv)) {
-          tuple_[static_cast<std::size_t>(t)] = nullptr;
-          t = ascend(t);
-          continue;
-        }
-      } else if ((t == 0 && batch_outer_) ? nextOuter() : lv.top->next(lv.row)) {
-        tuple_[static_cast<std::size_t>(t)] = &lv.row;
-      } else {
-        if (lv.left_join && !lv.null_done && lv.matched_stage->produced() == 0) {
-          lv.null_pending = true;
-          lv.null_done = true;
-          continue;
-        }
-        t = ascend(t);
-        continue;
-      }
-      if (t == last) return true;
-      openLevel(static_cast<std::size_t>(t) + 1);
-      ++t;
-    }
-    done_ = true;
-    return false;
-  }
-
-  bool nextBatchImpl(RowBatch& b) {
-    if (done_ || levels_.empty()) return false;
-    if (!started_) {
-      started_ = true;
-      openLevel(0);
-    }
-    if (outer_pos_ < outer_batch_.sel.size()) {
-      const std::size_t cap = b.capacity;
-      b = std::move(outer_batch_);
-      b.sel.erase(b.sel.begin(),
-                  b.sel.begin() + static_cast<std::ptrdiff_t>(outer_pos_));
-      b.capacity = cap;
-      outer_batch_ = RowBatch{};
-      outer_pos_ = 0;
-      return true;
-    }
-    if (b.capacity == 0) b.capacity = batch_rows_;
-    if (!levels_[0].top->nextBatch(b)) {
-      ascend(0);
-      done_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  void closeImpl() {
-    for (Level& lv : levels_) lv.top->close();
-    std::fill(tuple_.begin(), tuple_.end(), nullptr);
-    done_ = true;
-  }
-
-  const Tuple& tuple() const { return tuple_; }
+  const Layout& layout() const { return layout_; }
 
   /// OpStats pointers in construction order (loop, then each level's chain).
   /// Two loops built from the same plan produce parallel lists, so worker
@@ -1580,72 +1414,185 @@ class NestedLoop {
   struct Level {
     std::unique_ptr<SlotIter> top;      // filter stages over the scan/probe
     SlotIter* matched_stage = nullptr;  // produced() > 0 <=> ON-matched
-    Row row;
-    Row null_row;
+    RowBatch batch;                     // candidates under the current binding
+    std::size_t pos = 0;                // next unconsumed index into batch.sel
+    bool exhausted = false;
+    RowBatch null_row;                  // one all-NULL lane
+    std::vector<std::uint32_t> emit;    // columns copied into output lanes
     bool left_join = false;
     std::vector<Expr*> null_conjuncts;  // checked on the null-extended row
     bool null_pending = false;
     bool null_done = false;
   };
 
+  void openImpl() {
+    started_ = false;
+    done_ = false;
+    depth_ = 0;
+    for (Slot& s : slots_) s = Slot{};
+  }
+
+  bool nextBatchImpl(RowBatch& out) {
+    if (done_) return false;
+    if (!started_) {
+      started_ = true;
+      openLevel(0);
+    }
+    if (out.capacity == 0) out.capacity = batch_rows_;
+    ranks_.clear();
+    if (levels_.size() == 1) {
+      if (!levels_[0].top->nextBatch(out)) {
+        ascend(0);
+        done_ = true;
+        return false;
+      }
+      if (track_ranks_) {
+        const std::uint64_t tag = levels_[0].top->batchTag();
+        for (std::uint32_t i = 0; i < out.nrows; ++i) ranks_.push_back(tag + i);
+      }
+      return true;
+    }
+    out.reset(width_, 0);
+    const int last = static_cast<int>(levels_.size()) - 1;
+    while (out.nrows < out.capacity && depth_ >= 0) {
+      Level& lv = levels_[static_cast<std::size_t>(depth_)];
+      Slot& slot = slots_[static_cast<std::size_t>(depth_)];
+      if (lv.null_pending) {
+        lv.null_pending = false;
+        slot = {&lv.null_row, 0};
+        if (!allHold(lv.null_conjuncts, SlotCols{slots_})) {
+          depth_ = ascend(depth_);
+          continue;
+        }
+      } else if (lv.pos < lv.batch.sel.size()) {
+        slot = {&lv.batch, lv.batch.sel[lv.pos++]};
+      } else if (!lv.exhausted) {
+        // Refill: never pull more candidates than the output has room for.
+        lv.batch.capacity = out.capacity - out.nrows;
+        lv.pos = 0;
+        if (lv.top->nextBatch(lv.batch)) {
+          if (depth_ == 0) tag0_ = lv.top->batchTag();
+        } else {
+          lv.batch.sel.clear();
+          lv.exhausted = true;
+        }
+        continue;
+      } else {
+        if (lv.left_join && !lv.null_done && lv.matched_stage->produced() == 0) {
+          lv.null_pending = true;
+          lv.null_done = true;
+          continue;
+        }
+        depth_ = ascend(depth_);
+        continue;
+      }
+      if (depth_ == last) {
+        emit(out);
+      } else {
+        openLevel(static_cast<std::size_t>(++depth_));
+      }
+    }
+    if (depth_ < 0) done_ = true;
+    return out.nrows > 0;
+  }
+
+  /// Appends the current binding as one output lane. The innermost row is
+  /// consumed by exactly this lane, so its values move; outer rows repeat
+  /// across lanes and are copied.
+  void emit(RowBatch& out) {
+    const std::size_t last = levels_.size() - 1;
+    std::size_t d = 0;
+    for (std::size_t t = 0; t <= last; ++t) {
+      const Slot& s = slots_[t];
+      if (t == last && s.batch == &levels_[t].batch) {
+        for (const std::uint32_t c : levels_[t].emit) {
+          out.cols[d++].push_back(std::move(levels_[t].batch.cols[c][s.lane]));
+        }
+      } else {
+        for (const std::uint32_t c : levels_[t].emit) {
+          out.cols[d++].push_back(s.batch->cols[c][s.lane]);
+        }
+      }
+    }
+    if (track_ranks_) ranks_.push_back(tag0_ + slots_[0].lane);
+    out.sel.push_back(static_cast<std::uint32_t>(out.nrows++));
+  }
+
+  void closeImpl() {
+    for (Level& lv : levels_) lv.top->close();
+    for (Slot& s : slots_) s = Slot{};
+    done_ = true;
+  }
+
   void openLevel(std::size_t t) {
     Level& lv = levels_[t];
     lv.null_pending = false;
     lv.null_done = false;
-    tuple_[t] = nullptr;
-    if (t == 0) {
-      outer_batch_.clearRows();
-      outer_pos_ = 0;
-      // Ramp the outer batch up from a small refill so LIMIT-without-ORDER-BY
-      // row-stepping stops the scan after a handful of rows, not a full batch.
-      outer_cap_ = std::min<std::size_t>(32, batch_rows_);
-    }
+    lv.exhausted = false;
+    lv.pos = 0;
+    lv.batch.sel.clear();
+    slots_[t] = Slot{};
     lv.top->open();
-  }
-
-  /// Row-path advancement of level 0: rows arrive in columnar batches from
-  /// the scan/filter chain and materialize one at a time into the tuple slot.
-  bool nextOuter() {
-    Level& lv = levels_[0];
-    while (outer_pos_ >= outer_batch_.sel.size()) {
-      outer_batch_.capacity = outer_cap_;
-      outer_cap_ = std::min(outer_cap_ * 2, batch_rows_);
-      if (!lv.top->nextBatch(outer_batch_)) return false;
-      outer_pos_ = 0;
-    }
-    outer_batch_.materializeRow(outer_batch_.sel[outer_pos_++], lv.row);
-    return true;
-  }
-
-  bool nullRowPasses(const Level& lv) const {
-    for (const Expr* e : lv.null_conjuncts) {
-      if (!truthy(evaluate(*e, tuple_))) return false;
-    }
-    return true;
   }
 
   int ascend(int t) {
     levels_[static_cast<std::size_t>(t)].top->close();
-    tuple_[static_cast<std::size_t>(t)] = nullptr;
+    slots_[static_cast<std::size_t>(t)] = Slot{};
     return t - 1;
   }
 
-  SelectPlan* plan_;
   std::size_t batch_rows_;
-  bool batch_outer_;
-  Tuple tuple_;
+  Layout layout_;
+  std::uint32_t width_ = 0;  // columns of a joined output batch
+  Slots slots_;
   std::vector<Level> levels_;
-  RowBatch outer_batch_;        // level-0 rows pre-pulled for the row path
-  std::size_t outer_pos_ = 0;   // next unconsumed index into outer_batch_.sel
-  std::size_t outer_cap_ = 32;  // current refill size (ramps to batch_rows_)
+  std::vector<std::uint64_t> ranks_;
+  std::uint64_t tag0_ = 0;  // level 0's batchTag() for its current batch
+  bool track_ranks_ = false;
+  int depth_ = 0;  // level being advanced (-1 once every level is done)
   bool started_ = false;
   bool done_ = false;
   OpStats stats_;
 };
 
 // ---------------------------------------------------------------------------
-// Row-level operators
+// Operators above the join
 // ---------------------------------------------------------------------------
+
+/// The EXPLAIN text of an aggregation stage after its name:
+/// " (N aggregates, M group keys)", plus " HAVING".
+std::string aggregateShape(const SelectPlan& plan) {
+  const SelectStmt& sel = *plan.sel;
+  std::string s = " (" + std::to_string(plan.aggregates.size()) + " aggregate" +
+                  (plan.aggregates.size() == 1 ? "" : "s") + ", " +
+                  std::to_string(sel.group_by.size()) + " group key" +
+                  (sel.group_by.size() == 1 ? "" : "s") + ")";
+  if (sel.having) s += " HAVING";
+  return s;
+}
+
+/// The EXPLAIN text of a projection stage: "PROJECT a, b, ...".
+std::string projectLine(const SelectPlan& plan) {
+  std::string line = "PROJECT ";
+  for (std::size_t i = 0; i < plan.outputs.size(); ++i) {
+    if (i > 0) line += ", ";
+    line += plan.outputs[i].name;
+  }
+  return line;
+}
+
+/// Hands buffered (row, ORDER BY keys) pairs out at most `cap` at a time;
+/// false once `pos` reaches the end.
+bool emitBuffered(OutputRows& rows, std::size_t& pos, RowBatch& b, std::size_t cap,
+                  std::size_t nkeys) {
+  if (pos >= rows.size()) return false;
+  b.reset(rows[pos].first.size(), nkeys);
+  while (b.nrows < cap && pos < rows.size()) {
+    b.appendMoveValues(rows[pos].first, rows[pos].second);
+    ++pos;
+  }
+  return true;
+}
 
 /// SELECT without FROM: one row of constant expressions.
 class ConstRowOp : public RowOp {
@@ -1653,16 +1600,16 @@ class ConstRowOp : public RowOp {
   explicit ConstRowOp(SelectPlan& plan) : plan_(&plan) {}
 
   void doOpen() override { emitted_ = false; }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
+  bool doNextBatch(RowBatch& b) override {
     if (emitted_) return false;
     emitted_ = true;
-    static const Tuple kEmpty;
-    row.clear();
+    Row row;
     row.reserve(plan_->outputs.size());
     for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, kEmpty));
+      row.push_back(evalConst(*out.expr));
     }
-    keys.clear();
+    b.reset(row.size(), 0);
+    b.appendMoveValues(row);
     return true;
   }
   void doClose() override {}
@@ -1675,69 +1622,71 @@ class ConstRowOp : public RowOp {
   bool emitted_ = false;
 };
 
-/// Evaluates the output expressions (and ORDER BY keys) per joined tuple.
-/// With `batch_input` set (single-table plans), projection runs column-wise
-/// over the source's batches instead of per materialized tuple.
+/// How many times `e` reads the column that `col` refers to.
+int readsOf(const Expr* e, const Expr& col) {
+  if (e == nullptr) return 0;
+  if (e->kind == Expr::Kind::Column) {
+    return e->bound_table == col.bound_table && e->bound_col == col.bound_col ? 1 : 0;
+  }
+  int n = readsOf(e->lhs.get(), col) + readsOf(e->rhs.get(), col);
+  for (const ExprPtr& item : e->list) n += readsOf(item.get(), col);
+  return n;
+}
+
+/// Evaluates the output expressions (and ORDER BY keys) column by column
+/// over each joined batch.
 class ProjectOp : public RowOp {
  public:
-  ProjectOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, bool batch_input,
-            std::size_t batch_rows)
-      : src_(std::move(src)),
-        plan_(&plan),
-        batch_input_(batch_input),
-        batch_rows_(batch_rows) {}
+  ProjectOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, std::size_t batch_rows)
+      : src_(std::move(src)), plan_(&plan), batch_rows_(batch_rows) {
+    // A bare column that no other output or key reads is moved out of the
+    // (consumed) input batch instead of copied.
+    for (const SelectPlan::OutputCol& out : plan.outputs) {
+      const Expr& e = *out.expr;
+      int reads = 0;
+      if (e.kind == Expr::Kind::Column) {
+        for (const SelectPlan::OutputCol& o : plan.outputs) reads += readsOf(o.expr, e);
+        for (const OrderItem& item : plan.sel->order_by) {
+          reads += readsOf(item.expr.get(), e);
+        }
+      }
+      steal_.push_back(reads == 1);
+    }
+  }
 
   void doOpen() override { src_->open(); }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!src_->next()) return false;
-    const Tuple& tuple = src_->tuple();
-    row.clear();
-    row.reserve(plan_->outputs.size());
-    for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, tuple));
-    }
-    const SelectStmt& sel = *plan_->sel;
-    keys.clear();
-    keys.reserve(sel.order_by.size());
-    for (const OrderItem& item : sel.order_by) {
-      keys.push_back(evaluate(*item.expr, tuple));
-    }
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
-    if (!batch_input_) return RowOp::doNextBatch(b);
     in_.capacity = b.capacity ? b.capacity : batch_rows_;
     if (!src_->nextBatch(in_)) return false;
     const SelectStmt& sel = *plan_->sel;
     b.reset(plan_->outputs.size(), sel.order_by.size());
-    const std::size_t n = in_.sel.size();
-    for (std::size_t c = 0; c < plan_->outputs.size(); ++c) {
-      evalRows(*plan_->outputs[c].expr, in_, in_.sel, eval_scratch_);
-      b.cols[c].reserve(n);
+    auto project = [&](const Expr& e, std::vector<Value>& dst) {
+      dst.reserve(in_.sel.size());
       for (const std::uint32_t i : in_.sel) {
-        b.cols[c].push_back(std::move(eval_scratch_[i]));
+        dst.push_back(evalValue(e, LaneCols{in_, src_->layout(), i}));
       }
+    };
+    for (std::size_t c = 0; c < plan_->outputs.size(); ++c) {
+      const Expr& e = *plan_->outputs[c].expr;
+      if (!steal_[c]) {
+        project(e, b.cols[c]);
+        continue;
+      }
+      std::vector<Value>& src = in_.cols[src_->layout().of(e)];
+      b.cols[c].reserve(in_.sel.size());
+      for (const std::uint32_t i : in_.sel) b.cols[c].push_back(std::move(src[i]));
     }
     for (std::size_t k = 0; k < sel.order_by.size(); ++k) {
-      evalRows(*sel.order_by[k].expr, in_, in_.sel, eval_scratch_);
-      b.keys[k].reserve(n);
-      for (const std::uint32_t i : in_.sel) {
-        b.keys[k].push_back(std::move(eval_scratch_[i]));
-      }
+      project(*sel.order_by[k].expr, b.keys[k]);
     }
-    b.nrows = n;
-    b.sel.resize(n);
-    for (std::size_t i = 0; i < n; ++i) b.sel[i] = static_cast<std::uint32_t>(i);
+    b.nrows = in_.sel.size();
+    b.sel.resize(b.nrows);
+    for (std::size_t i = 0; i < b.nrows; ++i) b.sel[i] = static_cast<std::uint32_t>(i);
     return true;
   }
   void doClose() override { src_->close(); }
   void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    std::string cols;
-    for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      if (!cols.empty()) cols += ", ";
-      cols += out.name;
-    }
-    lines.push_back(indentOf(depth) + "PROJECT " + cols);
+    lines.push_back(indentOf(depth) + projectLine(*plan_));
     src_->describe(lines, depth + 1);
   }
   void setAnalyze(bool on) override {
@@ -1748,25 +1697,18 @@ class ProjectOp : public RowOp {
  private:
   std::unique_ptr<NestedLoop> src_;
   SelectPlan* plan_;
-  bool batch_input_;
   std::size_t batch_rows_;
+  std::vector<bool> steal_;  // per output: move the input column, not copy
   RowBatch in_;
-  std::vector<Value> eval_scratch_;
 };
 
-/// Blocking aggregation: drains the join on the first next(), groups by the
-/// GROUP BY keys, then emits one row per HAVING-surviving group. With
-/// `batch_input` set (single-table plans), the build phase evaluates group
-/// keys and aggregate arguments column-wise per batch and only materializes
-/// a row when a group first appears.
+/// Blocking aggregation: drains the join on the first pull, groups by the
+/// GROUP BY keys (probing the group map per live lane), then emits one row
+/// per HAVING-surviving group in encoded-key order.
 class AggregateOp : public RowOp {
  public:
-  AggregateOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan,
-              bool batch_input, std::size_t batch_rows)
-      : src_(std::move(src)),
-        plan_(&plan),
-        batch_input_(batch_input),
-        batch_rows_(batch_rows) {}
+  AggregateOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, std::size_t batch_rows)
+      : src_(std::move(src)), plan_(&plan), batch_rows_(batch_rows) {}
 
   void doOpen() override {
     src_->open();
@@ -1774,24 +1716,10 @@ class AggregateOp : public RowOp {
     out_.clear();
     pos_ = 0;
   }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!built_) build();
-    if (pos_ >= out_.size()) return false;
-    row = std::move(out_[pos_].first);
-    keys = std::move(out_[pos_].second);
-    ++pos_;
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
     if (!built_) build();
-    if (pos_ >= out_.size()) return false;
-    const std::size_t cap = b.capacity ? b.capacity : batch_rows_;
-    b.reset(out_[pos_].first.size(), plan_->sel->order_by.size());
-    while (b.nrows < cap && pos_ < out_.size()) {
-      b.appendMoveValues(out_[pos_].first, out_[pos_].second);
-      ++pos_;
-    }
-    return true;
+    return emitBuffered(out_, pos_, b, b.capacity ? b.capacity : batch_rows_,
+                        plan_->sel->order_by.size());
   }
   void doClose() override {
     src_->close();
@@ -1799,14 +1727,7 @@ class AggregateOp : public RowOp {
     pos_ = 0;
   }
   void doDescribe(std::vector<std::string>& lines, int depth) const override {
-    const SelectStmt& sel = *plan_->sel;
-    std::string line = indentOf(depth) + "AGGREGATE (" +
-                       std::to_string(plan_->aggregates.size()) + " aggregate" +
-                       (plan_->aggregates.size() == 1 ? "" : "s") + ", " +
-                       std::to_string(sel.group_by.size()) + " group key" +
-                       (sel.group_by.size() == 1 ? "" : "s") + ")";
-    if (sel.having) line += " HAVING";
-    lines.push_back(std::move(line));
+    lines.push_back(indentOf(depth) + "AGGREGATE" + aggregateShape(*plan_));
     src_->describe(lines, depth + 1);
   }
   void setAnalyze(bool on) override {
@@ -1818,121 +1739,26 @@ class AggregateOp : public RowOp {
   void build() {
     const SelectStmt& sel = *plan_->sel;
     std::map<EncodedKey, Group> groups;
-    if (batch_input_) {
-      buildBatched(groups);
-    } else {
-      while (src_->next()) {
-        const Tuple& tuple = src_->tuple();
-        Row key_values;
-        EncodedKey key;
-        for (const ExprPtr& e : sel.group_by) {
-          Value v = evaluate(*e, tuple);
-          encodeValue(v, key);
-          key_values.push_back(std::move(v));
-        }
-        auto [it, inserted] = groups.try_emplace(std::move(key));
-        Group& g = it->second;
-        if (inserted) {
-          g.key_values = std::move(key_values);
-          g.aggs.resize(plan_->aggregates.size());
-          g.first_rows.reserve(tuple.size());
-          for (const Row* row : tuple) g.first_rows.push_back(*row);
-        }
-        for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          const Expr* agg = plan_->aggregates[a];
-          if (agg->lhs) {
-            g.aggs[a].add(evaluate(*agg->lhs, tuple), agg->agg_distinct);
-          } else {
-            g.aggs[a].count++;  // COUNT(*)
-          }
-        }
+    RowBatch in;
+    in.capacity = batch_rows_;
+    while (src_->nextBatch(in)) {
+      for (const std::uint32_t i : in.sel) {
+        accumulateLane(groups, *plan_, in, LaneCols{in, src_->layout(), i});
       }
     }
     src_->close();
     for (const auto& [key, group] : groups) {
-      if (sel.having && !truthy(evaluateGrouped(*sel.having, group))) continue;
-      Row row;
-      row.reserve(plan_->outputs.size());
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        row.push_back(evaluateGrouped(*out.expr, group));
-      }
-      std::vector<Value> keys;
-      keys.reserve(sel.order_by.size());
-      for (const OrderItem& item : sel.order_by) {
-        keys.push_back(evaluateGrouped(*item.expr, group));
-      }
-      out_.emplace_back(std::move(row), std::move(keys));
+      emitGroup(*plan_, src_->layout(), group, out_);
     }
-    // A fully-aggregated SELECT over zero input rows still yields one row.
-    if (groups.empty() && sel.group_by.empty()) {
-      Group empty;
-      empty.aggs.resize(plan_->aggregates.size());
-      // Bare column refs are undefined over an empty input; report NULLs.
-      Row row;
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        if (containsAggregate(out.expr) || out.expr->kind == Expr::Kind::Literal) {
-          row.push_back(evaluateGrouped(*out.expr, empty));
-        } else {
-          row.push_back(Value::null());
-        }
-      }
-      out_.emplace_back(std::move(row), std::vector<Value>{});
-    }
+    if (groups.empty() && sel.group_by.empty()) emitEmptyInputRow(*plan_, out_);
     built_ = true;
-  }
-
-  /// Batch-probe variant of the accumulation loop: evaluates the group keys
-  /// and aggregate arguments column-at-a-time over each input batch, then
-  /// probes the hash table per live lane. Same group map, same insertion
-  /// order, same semantics as the row loop.
-  void buildBatched(std::map<EncodedKey, Group>& groups) {
-    const SelectStmt& sel = *plan_->sel;
-    RowBatch in;
-    in.capacity = batch_rows_;
-    std::vector<std::vector<Value>> key_cols(sel.group_by.size());
-    std::vector<std::vector<Value>> arg_cols(plan_->aggregates.size());
-    while (src_->nextBatch(in)) {
-      for (std::size_t g = 0; g < sel.group_by.size(); ++g) {
-        evalRows(*sel.group_by[g], in, in.sel, key_cols[g]);
-      }
-      for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-        if (plan_->aggregates[a]->lhs) {
-          evalRows(*plan_->aggregates[a]->lhs, in, in.sel, arg_cols[a]);
-        }
-      }
-      for (std::uint32_t i : in.sel) {
-        Row key_values;
-        EncodedKey key;
-        for (std::size_t g = 0; g < key_cols.size(); ++g) {
-          encodeValue(key_cols[g][i], key);
-          key_values.push_back(std::move(key_cols[g][i]));
-        }
-        auto [it, inserted] = groups.try_emplace(std::move(key));
-        Group& grp = it->second;
-        if (inserted) {
-          grp.key_values = std::move(key_values);
-          grp.aggs.resize(plan_->aggregates.size());
-          grp.first_rows.resize(1);
-          in.materializeRow(i, grp.first_rows[0]);
-        }
-        for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          const Expr* agg = plan_->aggregates[a];
-          if (agg->lhs) {
-            grp.aggs[a].add(std::move(arg_cols[a][i]), agg->agg_distinct);
-          } else {
-            grp.aggs[a].count++;  // COUNT(*)
-          }
-        }
-      }
-    }
   }
 
   std::unique_ptr<NestedLoop> src_;
   SelectPlan* plan_;
-  bool batch_input_;
   std::size_t batch_rows_;
   bool built_ = false;
-  std::vector<std::pair<Row, std::vector<Value>>> out_;
+  OutputRows out_;
   std::size_t pos_ = 0;
 };
 
@@ -1944,14 +1770,6 @@ class DistinctOp : public RowOp {
   void doOpen() override {
     child_->open();
     seen_.clear();
-  }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    while (child_->next(row, keys)) {
-      EncodedKey key;
-      for (const Value& v : row) encodeValue(v, key);
-      if (seen_.insert(std::move(key)).second) return true;
-    }
-    return false;
   }
   bool doNextBatch(RowBatch& b) override {
     // Probe the seen-set per live lane and compact the selection vector;
@@ -1987,6 +1805,50 @@ class DistinctOp : public RowOp {
   std::vector<std::uint32_t> sel_scratch_;
 };
 
+/// A row waiting in a sort: its ORDER BY keys, the row, and its input
+/// position (`seq`, then `sub` for the join outputs of one outer row) as the
+/// final tie-break, so every sort is stable.
+struct SortEntry {
+  std::vector<Value> keys;
+  Row row;
+  std::uint64_t seq = 0;
+  std::uint64_t sub = 0;
+};
+
+/// The ORDER BY ordering of sort entries.
+struct SortBefore {
+  const std::vector<OrderItem>* order;
+  bool operator()(const SortEntry& a, const SortEntry& b) const {
+    const std::size_t n = std::min({order->size(), a.keys.size(), b.keys.size()});
+    for (std::size_t i = 0; i < n; ++i) {
+      const int c = a.keys[i].compare(b.keys[i]);
+      if (c != 0) return (*order)[i].descending ? c > 0 : c < 0;
+    }
+    return a.seq != b.seq ? a.seq < b.seq : a.sub < b.sub;
+  }
+};
+
+/// Whether `e` (its row possibly not yet built) enters `rows`: always without
+/// a bound; with one, while the heap has room or when `e` sorts before the
+/// last entry kept (a LIMIT 0 bound keeps nothing).
+bool admits(const std::vector<SortEntry>& rows, const SortEntry& e,
+            std::optional<std::size_t> top_k, const SortBefore& before) {
+  return !top_k || (*top_k > 0 && (rows.size() < *top_k || before(e, rows.front())));
+}
+
+/// Adds an admitted `e` to `rows`; with a bound, `rows` is a heap keeping
+/// the `*top_k` first entries.
+void keepSorted(std::vector<SortEntry>& rows, SortEntry e,
+                std::optional<std::size_t> top_k, const SortBefore& before) {
+  rows.push_back(std::move(e));
+  if (!top_k) return;
+  std::push_heap(rows.begin(), rows.end(), before);
+  if (rows.size() > *top_k) {
+    std::pop_heap(rows.begin(), rows.end(), before);
+    rows.pop_back();
+  }
+}
+
 /// Blocking sort on the ORDER BY keys. With a pushed-down LIMIT the sort
 /// keeps a bounded top-K heap (K = offset + limit) instead of materializing
 /// and sorting every input row. An input sequence number is the final
@@ -2006,14 +1868,6 @@ class SortOp : public RowOp {
     sorted_ = false;
     rows_.clear();
     pos_ = 0;
-  }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!sorted_) drain();
-    if (pos_ >= rows_.size()) return false;
-    row = std::move(rows_[pos_].row);
-    keys.clear();
-    ++pos_;
-    return true;
   }
   bool doNextBatch(RowBatch& b) override {
     if (!sorted_) drain();
@@ -2046,52 +1900,25 @@ class SortOp : public RowOp {
   }
 
  private:
-  struct Keyed {
-    std::vector<Value> keys;
-    Row row;
-    std::uint64_t seq = 0;
-  };
-
-  bool before(const Keyed& a, const Keyed& b) const {
-    const auto& order = plan_->sel->order_by;
-    const std::size_t n =
-        std::min({order.size(), a.keys.size(), b.keys.size()});
-    for (std::size_t i = 0; i < n; ++i) {
-      const int c = a.keys[i].compare(b.keys[i]);
-      if (c != 0) return order[i].descending ? c > 0 : c < 0;
-    }
-    return a.seq < b.seq;  // stable: ties keep input order
-  }
-
   void drain() {
-    auto cmp = [this](const Keyed& a, const Keyed& b) { return before(a, b); };
+    const SortBefore before{&plan_->sel->order_by};
     RowBatch in;
     in.capacity = batch_rows_;
     std::uint64_t seq = 0;
     while (child_->nextBatch(in)) {
       for (std::uint32_t i : in.sel) {
-        if (top_k_ && *top_k_ == 0) {
-          ++seq;
-          continue;  // LIMIT 0: consume input, keep nothing
-        }
-        Keyed k;
-        in.takeRow(i, k.row);
-        in.takeKeys(i, k.keys);
-        k.seq = seq++;
-        rows_.push_back(std::move(k));
-        if (top_k_) {
-          std::push_heap(rows_.begin(), rows_.end(), cmp);
-          if (rows_.size() > *top_k_) {
-            std::pop_heap(rows_.begin(), rows_.end(), cmp);
-            rows_.pop_back();
-          }
-        }
+        SortEntry e;
+        in.takeKeys(i, e.keys);
+        e.seq = seq++;
+        if (!admits(rows_, e, top_k_, before)) continue;
+        in.takeRow(i, e.row);
+        keepSorted(rows_, std::move(e), top_k_, before);
       }
     }
     if (top_k_) {
-      std::sort_heap(rows_.begin(), rows_.end(), cmp);
+      std::sort_heap(rows_.begin(), rows_.end(), before);
     } else {
-      std::sort(rows_.begin(), rows_.end(), cmp);
+      std::sort(rows_.begin(), rows_.end(), before);
     }
     sorted_ = true;
   }
@@ -2100,7 +1927,7 @@ class SortOp : public RowOp {
   SelectPlan* plan_;
   std::optional<std::size_t> top_k_;
   std::size_t batch_rows_;
-  std::vector<Keyed> rows_;
+  std::vector<SortEntry> rows_;
   std::size_t pos_ = 0;
   bool sorted_ = false;
 };
@@ -2117,18 +1944,6 @@ class LimitOp : public RowOp {
     child_->open();
     skipped_ = 0;
     emitted_ = 0;
-  }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (limit_ && emitted_ >= *limit_) return false;
-    while (child_->next(row, keys)) {
-      if (skipped_ < offset_) {
-        ++skipped_;
-        continue;
-      }
-      ++emitted_;
-      return true;
-    }
-    return false;
   }
   bool doNextBatch(RowBatch& b) override {
     if (limit_ && emitted_ >= *limit_) return false;
@@ -2190,12 +2005,12 @@ class LimitOp : public RowOp {
 //
 // A MorselSource partitions table 0 into ~kMorselTargetRows-row morsels that
 // workers claim with one atomic (page partitioning) or one short lock
-// (cursor chunking). Each morsel carries its decoded rows — the RowBatch the
-// per-worker scan/filter/project loops run over — plus a dense morsel id
-// from which every row gets a global rank: concatenating morsels in id
-// order reproduces the serial scan order exactly, so parallel runs stay
-// bit-identical to serial ones (group representatives, DISTINCT survivors,
-// and ORDER BY tie-breaks all resolve by rank).
+// (cursor chunking). Each morsel carries its decoded rows as one RowBatch
+// plus a dense morsel id from which every row gets a global rank:
+// concatenating morsels in id order reproduces the serial scan order
+// exactly, so parallel runs stay bit-identical to serial ones (group
+// representatives, DISTINCT survivors, and ORDER BY tie-breaks all resolve
+// by rank).
 // ---------------------------------------------------------------------------
 
 /// Bits of the per-row rank reserved for the row's offset inside its morsel
@@ -2207,8 +2022,8 @@ constexpr unsigned kMorselRowBits = 18;
 class MorselSource {
  public:
   struct Morsel {
-    std::uint64_t id = 0;    // dense, increasing; ranks derive from it
-    std::vector<Row> rows;   // the batch the worker's tight loops run over
+    std::uint64_t id = 0;  // dense, increasing; ranks derive from it
+    RowBatch rows;         // lane i is the morsel's i-th row
   };
 
   virtual ~MorselSource() = default;
@@ -2261,11 +2076,12 @@ class PageMorselSource : public MorselSource {
     if (begin >= pages_.size()) return false;
     const std::size_t end = std::min(begin + pages_per_morsel_, pages_.size());
     m.id = idx;
-    m.rows.clear();
+    m.rows.clearRows();
     for (std::size_t p = begin; p < end; ++p) {
       HeapFile::visitPageRecords(*pager_, pages_[p],
                                  [&](const std::uint8_t* data, std::size_t size) {
-                                   m.rows.push_back(deserializeRow(data, size));
+                                   Row row = deserializeRow(data, size);
+                                   m.rows.appendMoveValues(row);
                                    return true;
                                  });
     }
@@ -2296,19 +2112,14 @@ class CursorMorselSource : public MorselSource {
   bool produce(Morsel& m) override {
     const std::lock_guard<std::mutex> lock(mu_);
     if (done_) return false;
-    m.id = next_id_++;
-    m.rows.clear();
-    m.rows.reserve(batch_rows_);
-    Row row;
-    while (m.rows.size() < batch_rows_ && iter_->next(row)) {
-      m.rows.push_back(std::move(row));
-      row = {};
-    }
-    if (m.rows.size() < batch_rows_) {
+    m.rows.capacity = batch_rows_;
+    if (!iter_->nextBatch(m.rows)) {
       done_ = true;
       iter_->close();
+      return false;
     }
-    return !m.rows.empty();
+    m.id = next_id_++;
+    return true;
   }
 
  private:
@@ -2319,38 +2130,31 @@ class CursorMorselSource : public MorselSource {
   std::uint64_t next_id_ = 0;
 };
 
-/// The Volcano adapter over a shared MorselSource: level-0 scan iterator of
-/// a per-worker NestedLoop. currentRank() exposes the global rank of the
-/// row most recently handed out, which the worker threads through to its
-/// partial states for deterministic merges.
+/// The level-0 iterator of a per-worker NestedLoop: hands out one whole
+/// morsel per batch, tagged with the morsel's rank base.
 class MorselFedIter : public SlotIter {
  public:
   MorselFedIter(MorselSource* src, const SelectPlan::AccessPath& path,
                 const SelectPlan::FromEntry& entry)
       : src_(src), path_(&path), entry_(&entry) {}
 
-  std::uint64_t currentRank() const { return rank_; }
+  std::uint64_t batchTag() const override { return tag_; }
 
  protected:
-  void doOpen() override {
-    produced_ = 0;
-    m_.rows.clear();
-    pos_ = 0;
-  }
-  bool doNext(Row& out) override {
-    while (pos_ >= m_.rows.size()) {
-      if (!src_->next(m_)) return false;
-      pos_ = 0;
+  void doOpen() override { produced_ = 0; }
+  bool doNextBatch(RowBatch& out) override {
+    while (src_->next(m_)) {
+      if (m_.rows.empty()) continue;  // a morsel of fully deleted pages
+      tag_ = m_.id << kMorselRowBits;
+      const std::size_t cap = out.capacity;
+      std::swap(out, m_.rows);  // recycles the caller's buffers
+      out.capacity = cap;
+      produced_ += out.active();
+      return true;
     }
-    rank_ = (m_.id << kMorselRowBits) | static_cast<std::uint64_t>(pos_);
-    out = std::move(m_.rows[pos_++]);
-    ++produced_;
-    return true;
+    return false;
   }
-  void doClose() override {
-    m_.rows.clear();
-    pos_ = 0;
-  }
+  void doClose() override { m_.rows.clearRows(); }
   void doDescribe(std::vector<std::string>& lines, int depth) const override {
     lines.push_back(indentOf(depth) + path_->describe(*entry_) + " [morsel]");
   }
@@ -2360,8 +2164,7 @@ class MorselFedIter : public SlotIter {
   const SelectPlan::AccessPath* path_;
   const SelectPlan::FromEntry* entry_;
   MorselSource::Morsel m_;
-  std::size_t pos_ = 0;
-  std::uint64_t rank_ = 0;
+  std::uint64_t tag_ = 0;
 };
 
 /// The parallel subtree: runs per-worker partial pipelines over a shared
@@ -2371,13 +2174,16 @@ class MorselFedIter : public SlotIter {
 /// serial operators above (Distinct, Sort, Limit) run unchanged:
 ///
 ///   grouped   partial hash aggregates merge per group key; the group
-///             representative (bare-column first_rows) is the minimum-rank
+///             representative (bare-column first_row) is the minimum-rank
 ///             input, matching serial first-arrival; groups emit in encoded
 ///             key order like AggregateOp.
 ///   row mode  per-worker buffers (optionally deduped for DISTINCT and
 ///             bounded by an ORDER BY+LIMIT top-K heap, both of which only
 ///             shrink the candidate set the serial operators re-check)
 ///             merge sorted by rank, i.e. serial scan order.
+///
+/// Every worker drives its own batch-native NestedLoop whose level 0 is
+/// morsel-fed; a lane's rank is (morsel id, row in morsel, join sub).
 class GatherOp : public RowOp {
  public:
   GatherOp(Database& db, SelectPlan& plan, const ExecOptions& opts,
@@ -2389,7 +2195,7 @@ class GatherOp : public RowOp {
         top_k_(row_top_k),
         grouped_(plan.grouped),
         distinct_(plan.sel->distinct && !plan.grouped),
-        src_tuple_(plan.from.size(), nullptr),
+        src_slots_(plan.from.size()),
         template_loop_(std::make_unique<NestedLoop>(db, plan, opts.batch_rows)) {}
 
   void doOpen() override {
@@ -2397,24 +2203,10 @@ class GatherOp : public RowOp {
     out_.clear();
     pos_ = 0;
   }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!built_) runParallel();
-    if (pos_ >= out_.size()) return false;
-    row = std::move(out_[pos_].first);
-    keys = std::move(out_[pos_].second);
-    ++pos_;
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
     if (!built_) runParallel();
-    if (pos_ >= out_.size()) return false;
-    const std::size_t cap = b.capacity ? b.capacity : batch_rows_;
-    b.reset(out_[pos_].first.size(), plan_->sel->order_by.size());
-    while (b.nrows < cap && pos_ < out_.size()) {
-      b.appendMoveValues(out_[pos_].first, out_[pos_].second);
-      ++pos_;
-    }
-    return true;
+    return emitBuffered(out_, pos_, b, b.capacity ? b.capacity : batch_rows_,
+                        plan_->sel->order_by.size());
   }
   void doClose() override {
     out_.clear();
@@ -2440,23 +2232,9 @@ class GatherOp : public RowOp {
       lines.push_back(indentOf(depth + 1) + perWorkerLine());
     }
     const std::size_t partial_line = lines.size();
-    if (grouped_) {
-      const SelectStmt& sel = *plan_->sel;
-      std::string agg = indentOf(depth + 1) + "PARTIAL AGGREGATE (" +
-                        std::to_string(plan_->aggregates.size()) + " aggregate" +
-                        (plan_->aggregates.size() == 1 ? "" : "s") + ", " +
-                        std::to_string(sel.group_by.size()) + " group key" +
-                        (sel.group_by.size() == 1 ? "" : "s") + ")";
-      if (sel.having) agg += " HAVING";
-      lines.push_back(std::move(agg));
-    } else {
-      std::string cols;
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        if (!cols.empty()) cols += ", ";
-        cols += out.name;
-      }
-      lines.push_back(indentOf(depth + 1) + "PROJECT " + cols);
-    }
+    lines.push_back(indentOf(depth + 1) +
+                    (grouped_ ? "PARTIAL AGGREGATE" + aggregateShape(*plan_)
+                              : projectLine(*plan_)));
     if (partial_stats_.timed) appendActuals(lines[partial_line], partial_stats_);
     template_loop_->describe(lines, depth + 2);
   }
@@ -2464,82 +2242,19 @@ class GatherOp : public RowOp {
  private:
   // --- per-worker state ----------------------------------------------------
 
-  struct Entry {
-    std::vector<Value> keys;  // ORDER BY keys
-    Row row;                  // projected output row
-    std::uint64_t rank = 0;   // global scan rank of the outer row
-    std::uint64_t sub = 0;    // join-output ordinal under that outer row
-  };
-
-  /// Mergeable fragment of one AggState. DISTINCT aggregates carry the
-  /// distinct values themselves (keyed by encoding) so the final counts and
-  /// sums are recomputed exactly after the cross-worker union.
-  struct PartialAggState {
-    std::int64_t count = 0;
-    std::int64_t isum = 0;
-    double rsum = 0.0;
-    bool saw_real = false;
-    Value min;
-    Value max;
-    std::map<EncodedKey, Value> distinct;
-  };
-
-  struct PartialGroup {
-    Row key_values;
-    std::vector<Row> first_rows;
+  /// One worker's state of a group, plus the rank of its first tuple.
+  struct PartialGroup : Group {
     std::uint64_t first_rank = 0;
     std::uint64_t first_sub = 0;
-    std::vector<PartialAggState> aggs;
   };
 
   struct WorkerState {
     std::unordered_map<EncodedKey, PartialGroup> groups;  // grouped mode
-    std::vector<Entry> rows;                              // row mode
+    std::vector<SortEntry> rows;  // row mode: seq = global scan rank
     std::set<EncodedKey> seen;     // row-mode local DISTINCT dedup
     std::uint64_t emitted = 0;     // partial-stage outputs (per-worker line)
     std::uint64_t busy_ns = 0;
   };
-
-  static void partialAdd(PartialAggState& s, const Value& v, bool distinct_only) {
-    if (v.isNull()) return;
-    if (distinct_only) {
-      EncodedKey key;
-      encodeValue(v, key);
-      s.distinct.emplace(std::move(key), v);
-      return;
-    }
-    ++s.count;
-    if (v.isReal()) {
-      s.saw_real = true;
-      s.rsum += v.asReal();
-    } else if (v.isInt()) {
-      s.isum += v.asInt();
-      s.rsum += static_cast<double>(v.asInt());
-    }
-    if (s.min.isNull() || v.compare(s.min) < 0) s.min = v;
-    if (s.max.isNull() || v.compare(s.max) > 0) s.max = v;
-  }
-
-  std::unique_ptr<SlotIter> makeLevel0Iter() {
-    const SelectPlan::AccessPath& path = plan_->paths[0];
-    switch (path.kind) {
-      case SelectPlan::AccessPath::Kind::Scan:
-        return std::make_unique<SeqScanIter>(*db_, path, plan_->from[0]);
-      case SelectPlan::AccessPath::Kind::IndexEqual:
-        return std::make_unique<IndexEqualIter>(*db_, path, plan_->from[0],
-                                                src_tuple_);
-      case SelectPlan::AccessPath::Kind::IndexInList:
-        return std::make_unique<IndexInListIter>(*db_, path, plan_->from[0],
-                                                 src_tuple_);
-      case SelectPlan::AccessPath::Kind::PostingInList:
-        return std::make_unique<PostingInListIter>(*db_, path, plan_->from[0],
-                                                   src_tuple_);
-      case SelectPlan::AccessPath::Kind::IndexRange:
-        return std::make_unique<IndexRangeIter>(*db_, path, plan_->from[0],
-                                                src_tuple_);
-    }
-    throw SqlError("internal: bad access path kind");
-  }
 
   void runParallel() {
     built_ = true;
@@ -2559,7 +2274,9 @@ class GatherOp : public RowOp {
       extra = std::min(extra, morsels > 0 ? morsels - 1 : 0);
       src = std::move(ps);
     } else {
-      auto cs = std::make_unique<CursorMorselSource>(makeLevel0Iter(), batch_rows_);
+      // Level-0 probe bounds are constants: the slots are never bound.
+      auto cs = std::make_unique<CursorMorselSource>(
+          makeLeaf(*db_, *plan_, 0, src_slots_), batch_rows_);
       cs->open();  // bound evaluation happens on the calling thread
       src = std::move(cs);
     }
@@ -2576,7 +2293,7 @@ class GatherOp : public RowOp {
           std::optional<Pager::SnapshotScope> snap_scope;
           if (snap_token.pager != nullptr) snap_scope.emplace(snap_token);
           try {
-            runWorker(slot, *s);
+            runWorker(states_[slot], *s);
           } catch (...) {
             s->abort();  // stop the other workers' morsel supply
             throw;
@@ -2598,80 +2315,33 @@ class GatherOp : public RowOp {
     ran_ = true;
   }
 
-  void runWorker(std::size_t slot, MorselSource& src) {
-    WorkerState& ws = states_[slot];
+  void runWorker(WorkerState& ws, MorselSource& src) {
     const auto start = std::chrono::steady_clock::now();
-    // Single-table plans run the tight batch loops; joins (and analyzed
-    // runs, which want exact per-stage accounting) run a full per-worker
-    // operator chain fed from the shared source.
-    if (batchEligible(*plan_) && !analyze_) {
-      runBatchWorker(ws, src);
-    } else {
-      runLoopWorker(ws, src);
-    }
-    ws.busy_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
-
-  void runBatchWorker(WorkerState& ws, MorselSource& src) {
-    const SelectPlan::AccessPath& path = plan_->paths[0];
-    std::vector<Expr*> conjuncts;
-    for (const SelectPlan::PlannedConjunct& pc : plan_->conjuncts) {
-      // Level-0 conjuncts; an IN-list consumed by the probe already holds.
-      if (pc.max_table <= 0 && pc.expr != path.in_list) {
-        conjuncts.push_back(pc.expr);
-      }
-    }
-    MorselSource::Morsel m;
-    Tuple tuple(1, nullptr);
-    while (src.next(m)) {
-      for (std::size_t i = 0; i < m.rows.size(); ++i) {
-        tuple[0] = &m.rows[i];
-        bool pass = true;
-        for (const Expr* e : conjuncts) {
-          if (!truthy(evaluate(*e, tuple))) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        const std::uint64_t rank =
-            (m.id << kMorselRowBits) | static_cast<std::uint64_t>(i);
-        if (grouped_) {
-          accumulate(ws, tuple, rank, 0);
-        } else {
-          emitRow(ws, tuple, rank, 0);
-        }
-      }
-    }
-  }
-
-  void runLoopWorker(WorkerState& ws, MorselSource& src) {
-    auto fed =
-        std::make_unique<MorselFedIter>(&src, plan_->paths[0], plan_->from[0]);
-    MorselFedIter* fed_raw = fed.get();
-    // batch_outer=false: rank accounting reads the fed iterator's *current*
-    // row, which pre-pulling a whole outer batch would run ahead of.
-    NestedLoop loop(*db_, *plan_, batch_rows_, std::move(fed),
-                    /*batch_outer=*/false);
+    NestedLoop loop(*db_, *plan_, batch_rows_,
+                    std::make_unique<MorselFedIter>(&src, plan_->paths[0],
+                                                    plan_->from[0]));
+    loop.trackRanks();
     if (analyze_) loop.setAnalyze(true);
     loop.open();
+    RowBatch b;
+    b.capacity = batch_rows_;
     std::uint64_t last_rank = ~std::uint64_t{0};
     std::uint64_t sub = 0;
-    while (loop.next()) {
-      const std::uint64_t rank = fed_raw->currentRank();
-      if (rank == last_rank) {
-        ++sub;
-      } else {
-        sub = 0;
-        last_rank = rank;
-      }
-      if (grouped_) {
-        accumulate(ws, loop.tuple(), rank, sub);
-      } else {
-        emitRow(ws, loop.tuple(), rank, sub);
+    while (loop.nextBatch(b)) {
+      for (const std::uint32_t i : b.sel) {
+        const std::uint64_t rank = loop.ranks()[i];
+        if (rank == last_rank) {
+          ++sub;
+        } else {
+          sub = 0;
+          last_rank = rank;
+        }
+        const LaneCols cols{b, template_loop_->layout(), i};
+        if (grouped_) {
+          accumulate(ws, b, cols, rank, sub);
+        } else {
+          emitRow(ws, cols, rank, sub);
+        }
       }
     }
     loop.close();
@@ -2679,95 +2349,55 @@ class GatherOp : public RowOp {
       const std::lock_guard<std::mutex> lock(stats_mu_);
       template_loop_->absorbStats(loop);
     }
+    ws.busy_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
   }
 
-  void accumulate(WorkerState& ws, const Tuple& tuple, std::uint64_t rank,
-                  std::uint64_t sub) {
-    const SelectStmt& sel = *plan_->sel;
-    Row key_values;
-    EncodedKey key;
-    for (const ExprPtr& e : sel.group_by) {
-      Value v = evaluate(*e, tuple);
-      encodeValue(v, key);
-      key_values.push_back(std::move(v));
-    }
-    auto [it, inserted] = ws.groups.try_emplace(std::move(key));
-    PartialGroup& g = it->second;
-    if (inserted) {
-      ++ws.emitted;
-      g.key_values = std::move(key_values);
-      g.first_rank = rank;
-      g.first_sub = sub;
-      g.aggs.resize(plan_->aggregates.size());
-      g.first_rows.reserve(tuple.size());
-      // A worker consumes rows in increasing rank order, so the first
-      // arrival is the worker-local minimum; cross-worker minima resolve at
-      // the merge.
-      for (const Row* row : tuple) g.first_rows.push_back(*row);
-    }
-    for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-      const Expr* agg = plan_->aggregates[a];
-      if (agg->lhs) {
-        partialAdd(g.aggs[a], evaluate(*agg->lhs, tuple), agg->agg_distinct);
-      } else {
-        ++g.aggs[a].count;  // COUNT(*)
-      }
-    }
+  void accumulate(WorkerState& ws, const RowBatch& b, const LaneCols& cols,
+                  std::uint64_t rank, std::uint64_t sub) {
+    const auto [pg, inserted] = accumulateLane(ws.groups, *plan_, b, cols);
+    if (!inserted) return;
+    // A worker consumes rows in increasing rank order, so the first arrival
+    // is the worker-local minimum; cross-worker minima resolve at the merge.
+    ++ws.emitted;
+    pg->first_rank = rank;
+    pg->first_sub = sub;
   }
 
-  void emitRow(WorkerState& ws, const Tuple& tuple, std::uint64_t rank,
+  void emitRow(WorkerState& ws, const LaneCols& cols, std::uint64_t rank,
                std::uint64_t sub) {
-    Row row;
-    row.reserve(plan_->outputs.size());
-    for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, tuple));
-    }
+    auto project = [&](Row& row) {
+      row.reserve(plan_->outputs.size());
+      for (const SelectPlan::OutputCol& out : plan_->outputs) {
+        row.push_back(evalValue(*out.expr, cols));
+      }
+    };
+    SortEntry e;
     if (distinct_) {
+      project(e.row);
       // Local dedup: keeps the worker's first (minimum-rank) copy. The
       // DistinctOp above resolves cross-worker duplicates; dedup must
       // happen before the top-K heap so duplicates never evict candidates.
       EncodedKey key;
-      for (const Value& v : row) encodeValue(v, key);
+      for (const Value& v : e.row) encodeValue(v, key);
       if (!ws.seen.insert(std::move(key)).second) return;
     }
     ++ws.emitted;
-    const SelectStmt& sel = *plan_->sel;
-    Entry e;
-    e.row = std::move(row);
-    e.rank = rank;
+    e.seq = rank;
     e.sub = sub;
-    e.keys.reserve(sel.order_by.size());
-    for (const OrderItem& item : sel.order_by) {
-      e.keys.push_back(evaluate(*item.expr, tuple));
+    e.keys.reserve(plan_->sel->order_by.size());
+    for (const OrderItem& item : plan_->sel->order_by) {
+      e.keys.push_back(evalValue(*item.expr, cols));
     }
-    if (top_k_) {
-      if (*top_k_ == 0) return;  // LIMIT 0: consume input, keep nothing
-      auto cmp = [this](const Entry& a, const Entry& b) {
-        return entryBefore(a, b);
-      };
-      ws.rows.push_back(std::move(e));
-      std::push_heap(ws.rows.begin(), ws.rows.end(), cmp);
-      if (ws.rows.size() > *top_k_) {
-        std::pop_heap(ws.rows.begin(), ws.rows.end(), cmp);
-        ws.rows.pop_back();
-      }
-    } else {
-      ws.rows.push_back(std::move(e));
-    }
-  }
-
-  /// SortOp::before() over global ranks: a worker's top-K heap keeps its K
-  /// best by exactly the ordering the serial sort would apply, so the union
-  /// of worker heaps is a superset of the true top K.
-  bool entryBefore(const Entry& a, const Entry& b) const {
-    const auto& order = plan_->sel->order_by;
-    const std::size_t n = std::min({order.size(), a.keys.size(), b.keys.size()});
-    for (std::size_t i = 0; i < n; ++i) {
-      const int c = a.keys[i].compare(b.keys[i]);
-      if (c != 0) return order[i].descending ? c > 0 : c < 0;
-    }
-    if (a.rank != b.rank) return a.rank < b.rank;
-    return a.sub < b.sub;
+    // With a bound, a worker's heap keeps its K best by exactly the serial
+    // sort's ordering, so the union of worker heaps holds the true top K. A
+    // row that cannot enter the full heap is dropped before it is built.
+    const SortBefore before{&plan_->sel->order_by};
+    if (!admits(ws.rows, e, top_k_, before)) return;
+    if (!distinct_) project(e.row);
+    keepSorted(ws.rows, std::move(e), top_k_, before);
   }
 
   void mergeGrouped() {
@@ -2787,102 +2417,44 @@ class GatherOp : public RowOp {
           // tuple is the serial path's group representative.
           dst.first_rank = pg.first_rank;
           dst.first_sub = pg.first_sub;
-          dst.first_rows = std::move(pg.first_rows);
+          dst.first_row = std::move(pg.first_row);
         }
         for (std::size_t a = 0; a < dst.aggs.size(); ++a) {
-          PartialAggState& d = dst.aggs[a];
-          PartialAggState& s = pg.aggs[a];
-          d.count += s.count;
-          d.isum += s.isum;
-          d.rsum += s.rsum;
-          d.saw_real = d.saw_real || s.saw_real;
-          if (!s.min.isNull() && (d.min.isNull() || s.min.compare(d.min) < 0)) {
-            d.min = s.min;
-          }
-          if (!s.max.isNull() && (d.max.isNull() || s.max.compare(d.max) > 0)) {
-            d.max = s.max;
-          }
-          d.distinct.merge(s.distinct);
+          const Expr* agg = plan_->aggregates[a];
+          dst.aggs[a].merge(pg.aggs[a], agg->lhs && agg->agg_distinct);
         }
       }
       ws.groups.clear();
     }
     if (analyze_) partial_stats_.rows = merged.size();
-    // Finalize: the same tail as the serial AggregateOp::build(), over
-    // groups in encoded-key order.
-    for (auto& [key, pg] : merged) {
-      Group g;
-      g.key_values = std::move(pg.key_values);
-      g.first_rows = std::move(pg.first_rows);
-      g.aggs.resize(plan_->aggregates.size());
-      for (std::size_t a = 0; a < g.aggs.size(); ++a) {
-        const Expr* agg = plan_->aggregates[a];
-        PartialAggState& p = pg.aggs[a];
-        AggState& s = g.aggs[a];
-        if (agg->lhs && agg->agg_distinct) {
-          for (auto& [ek, v] : p.distinct) s.add(v, false);
-        } else {
-          s.count = p.count;
-          s.isum = p.isum;
-          s.rsum = p.rsum;
-          s.saw_real = p.saw_real;
-          s.min = p.min;
-          s.max = p.max;
-        }
-      }
-      if (sel.having && !truthy(evaluateGrouped(*sel.having, g))) continue;
-      Row row;
-      row.reserve(plan_->outputs.size());
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        row.push_back(evaluateGrouped(*out.expr, g));
-      }
-      std::vector<Value> keys;
-      keys.reserve(sel.order_by.size());
-      for (const OrderItem& item : sel.order_by) {
-        keys.push_back(evaluateGrouped(*item.expr, g));
-      }
-      out_.emplace_back(std::move(row), std::move(keys));
-    }
-    // A fully-aggregated SELECT over zero input rows still yields one row.
-    if (merged.empty() && sel.group_by.empty()) {
-      Group empty;
-      empty.aggs.resize(plan_->aggregates.size());
-      Row row;
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        if (containsAggregate(out.expr) || out.expr->kind == Expr::Kind::Literal) {
-          row.push_back(evaluateGrouped(*out.expr, empty));
-        } else {
-          row.push_back(Value::null());
-        }
-      }
-      out_.emplace_back(std::move(row), std::vector<Value>{});
-    }
+    // Finalize: the same tail as the serial AggregateOp, over groups in
+    // encoded-key order.
+    for (auto& [key, pg] : merged) emitGroup(*plan_, template_loop_->layout(), pg, out_);
+    if (merged.empty() && sel.group_by.empty()) emitEmptyInputRow(*plan_, out_);
   }
 
   void mergeRows() {
     std::size_t total = 0;
     for (const WorkerState& ws : states_) total += ws.rows.size();
-    std::vector<Entry> all;
+    std::vector<SortEntry> all;
     all.reserve(total);
     for (WorkerState& ws : states_) {
-      for (Entry& e : ws.rows) all.push_back(std::move(e));
+      for (SortEntry& e : ws.rows) all.push_back(std::move(e));
       ws.rows.clear();
       ws.rows.shrink_to_fit();
       ws.seen.clear();
     }
     // Emit in global scan order so the serial operators above see exactly
     // the serial stream (stable ORDER BY ties, DISTINCT first-occurrence).
-    std::sort(all.begin(), all.end(), [](const Entry& a, const Entry& b) {
-      return a.rank != b.rank ? a.rank < b.rank : a.sub < b.sub;
+    std::sort(all.begin(), all.end(), [](const SortEntry& a, const SortEntry& b) {
+      return a.seq != b.seq ? a.seq < b.seq : a.sub < b.sub;
     });
     if (analyze_) {
       partial_stats_.rows = 0;
       for (const WorkerState& ws : states_) partial_stats_.rows += ws.emitted;
     }
     out_.reserve(all.size());
-    for (Entry& e : all) {
-      out_.emplace_back(std::move(e.row), std::move(e.keys));
-    }
+    for (SortEntry& e : all) out_.emplace_back(std::move(e.row), std::move(e.keys));
   }
 
   std::string perWorkerLine() const {
@@ -2912,7 +2484,7 @@ class GatherOp : public RowOp {
   std::optional<std::size_t> top_k_;  // row mode only
   bool grouped_;
   bool distinct_;
-  Tuple src_tuple_;  // never bound; level-0 probe bounds are constants
+  Slots src_slots_;  // never bound; level-0 probe bounds are constants
   std::unique_ptr<NestedLoop> template_loop_;  // described, never opened
   std::vector<WorkerState> states_;
   std::mutex stats_mu_;
@@ -2921,7 +2493,7 @@ class GatherOp : public RowOp {
   bool analyze_ = false;
   bool ran_ = false;
   bool built_ = false;
-  std::vector<std::pair<Row, std::vector<Value>>> out_;
+  OutputRows out_;
   std::size_t pos_ = 0;
 };
 
@@ -2949,40 +2521,18 @@ bool parallelEligible(Database& db, const SelectPlan& plan,
 // ---------------------------------------------------------------------------
 
 bool RowOp::nextBatch(RowBatch& batch) {
-  if (!stats_.timed) {
-    const bool ok = doNextBatch(batch);
-    if (ok) {
-      execCounters().batches.inc();
-      execCounters().batch_fill.observe(static_cast<double>(batch.active()));
-    }
-    return ok;
-  }
-  const detail::OpTick tick(stats_);
-  const bool ok = doNextBatch(batch);
-  if (ok) {
+  std::optional<detail::OpTick> tick;
+  if (stats_.timed) tick.emplace(stats_);
+  if (!doNextBatch(batch)) return false;
+  execCounters().batches.inc();
+  execCounters().batch_fill.observe(static_cast<double>(batch.active()));
+  if (stats_.timed) {
     stats_.rows += batch.active();
     ++stats_.batches;
     stats_.batch_rows += batch.active();
-    execCounters().batches.inc();
-    execCounters().batch_fill.observe(static_cast<double>(batch.active()));
   }
-  return ok;
+  return true;
 }
-
-bool RowOp::doNextBatch(RowBatch& batch) {
-  batch.clearRows();
-  const std::size_t cap = batch.capacity > 0 ? batch.capacity : 1;
-  Row row;
-  std::vector<Value> keys;
-  while (batch.nrows < cap && doNext(row, keys)) {
-    batch.appendMoveValues(row, keys);
-    row.clear();
-    keys.clear();
-  }
-  return batch.nrows > 0;
-}
-
-bool batchEligible(const SelectPlan& plan) { return plan.from.size() == 1; }
 
 // ---------------------------------------------------------------------------
 // Pipeline assembly and the materializing wrappers
@@ -3011,18 +2561,11 @@ Pipeline buildPipeline(Database& db, SelectPlan& plan, const ExecOptions& opts) 
     op = std::make_unique<GatherOp>(db, plan, opts,
                                     plan.grouped ? std::nullopt : top_k);
   } else {
-    // Single-table subtrees run column-at-a-time: the loop hands whole
-    // batches to Project/Aggregate, which evaluate expressions per column.
-    // Joins keep the row-at-a-time tuple walk (their expressions bind
-    // multiple slots) behind the generic row→batch adapter.
-    const bool batch_input = batchEligible(plan);
     auto loop = std::make_unique<NestedLoop>(db, plan, opts.batch_rows);
     if (plan.grouped) {
-      op = std::make_unique<AggregateOp>(std::move(loop), plan, batch_input,
-                                         opts.batch_rows);
+      op = std::make_unique<AggregateOp>(std::move(loop), plan, opts.batch_rows);
     } else {
-      op = std::make_unique<ProjectOp>(std::move(loop), plan, batch_input,
-                                       opts.batch_rows);
+      op = std::make_unique<ProjectOp>(std::move(loop), plan, opts.batch_rows);
     }
   }
   if (sel.distinct) op = std::make_unique<DistinctOp>(std::move(op));
@@ -3046,6 +2589,25 @@ std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
   return lines;
 }
 
+std::vector<std::string> explainAnalyze(Database& db, SelectPlan& plan,
+                                        const ExecOptions& opts) {
+  materializePlanSubqueries(db, plan);
+  Pipeline p = buildPipeline(db, plan, opts);
+  p.root->setAnalyze(true);
+  {
+    const Database::CursorPin pin = db.pinCursor();
+    p.root->open();
+    RowBatch batch;
+    batch.capacity = opts.batch_rows;
+    while (p.root->nextBatch(batch)) {
+    }
+    p.root->close();
+  }
+  std::vector<std::string> lines;
+  p.root->describe(lines, 0);
+  return lines;
+}
+
 ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
                          bool analyze, const ExecOptions& opts) {
   ResultSet rs;
@@ -3056,24 +2618,15 @@ ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
     }
     return rs;
   }
-  materializePlanSubqueries(db, plan);
-  Pipeline p = buildPipeline(db, plan, opts);
   if (analyze) {
-    // EXPLAIN ANALYZE: run the statement to exhaustion with per-operator
-    // accounting armed, discard the rows, and emit the annotated tree.
-    p.root->setAnalyze(true);
-    p.root->open();
-    RowBatch batch;
-    batch.capacity = opts.batch_rows;
-    while (p.root->nextBatch(batch)) {
-    }
-    p.root->close();
     rs.columns = {"plan"};
-    std::vector<std::string> lines;
-    p.root->describe(lines, 0);
-    for (std::string& line : lines) rs.rows.push_back({Value(std::move(line))});
+    for (std::string& line : explainAnalyze(db, plan, opts)) {
+      rs.rows.push_back({Value(std::move(line))});
+    }
     return rs;
   }
+  materializePlanSubqueries(db, plan);
+  Pipeline p = buildPipeline(db, plan, opts);
   rs.columns = std::move(p.columns);
   p.root->open();
   RowBatch batch;

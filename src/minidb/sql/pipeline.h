@@ -1,17 +1,20 @@
 // minidb SQL execution pipeline (internal header).
 //
-// SELECT execution is a Volcano-style operator tree: each operator exposes
-// open()/nextBatch()/close() (plus a row-at-a-time next() adapter) and pulls
-// column-major RowBatches from its child, so the first output row is produced
-// without materializing the whole result. The tree is
+// SELECT execution is a Volcano-style operator tree with one pull hook:
+// each operator exposes open()/nextBatch()/close() and pulls column-major
+// RowBatches from its child, so the first output row is produced without
+// materializing the whole result. The tree is
 //
 //   Limit -> Sort -> Distinct -> (Project | Aggregate) -> NestedLoop
 //
-// with the NestedLoop driving one SlotIter chain per FROM entry
-// (SeqScan / IndexProbe wrapped by FilterOp stages). Sort uses a bounded
-// top-K heap when the plan carries LIMIT, so ORDER BY ... LIMIT n never
-// materializes more than offset+n rows. EXPLAIN renders this tree, one line
-// per operator, root first.
+// with the NestedLoop driving one SlotIter chain per FROM entry (a scan or
+// index-probe leaf wrapped by filter stages) and writing each joined tuple
+// as one lane of its output batch, the FROM entries' columns side by side.
+// Sort uses a bounded top-K heap when the plan carries LIMIT, so ORDER BY
+// ... LIMIT n never materializes more than offset+n rows. Every operator
+// evaluates expressions with the one evaluator behind evaluate(), per live
+// lane. Row-stepping callers go through sql::Cursor::next, the one row
+// adapter. EXPLAIN renders this tree, one line per operator, root first.
 //
 // When ExecOptions.degree >= 2 and the plan's shape allows it (blocking
 // Aggregate/Distinct/Sort above table 0, no LIMIT-without-ORDER-BY early
@@ -19,11 +22,11 @@
 // subtree runs morsel-driven instead: a shared MorselSource partitions
 // table 0 into ~2k-row morsels (whole heap pages for SeqScan, chunked
 // cursor pulls for index paths) consumed by workers from the process-wide
-// ExecPool. Each worker runs a private partial pipeline — batch-at-a-time
-// scan/filter/project loops, a partial hash aggregate, or a per-worker
-// top-K heap — and a single GatherOp merges the thread-local states at the
-// barrier, after which the serial operators above (Distinct, Sort, Limit)
-// run unchanged. Degree 1 is exactly the serial path. EXPLAIN shows the
+// ExecPool. Each worker drives its own NestedLoop over the morsels into a
+// partial hash aggregate or a row buffer (with a per-worker top-K heap),
+// and a single GatherOp merges the thread-local states at the barrier,
+// after which the serial operators above (Distinct, Sort, Limit) run
+// unchanged. Degree 1 is exactly the serial path. EXPLAIN shows the
 // parallel subtree under "GATHER (workers=N)"; EXPLAIN ANALYZE rolls the
 // per-worker rows/time into the subtree's OpStats.
 //
@@ -223,13 +226,13 @@ class OpTick {
 
 }  // namespace detail
 
-/// One pipeline operator. The primary pull interface is batch-at-a-time:
+/// One pipeline operator. The one pull interface is batch-at-a-time:
 /// nextBatch() fills a column-major RowBatch (with ORDER BY keys for
 /// operators below the Sort) and returns false only at end of stream — a
-/// true return always carries at least one live row. next() is the thin
-/// row-at-a-time adapter kept for row-stepping callers; both draw from the
-/// same operator state, so a consumer may mix them. Operators tolerate
-/// next()/nextBatch() after exhaustion and close() twice.
+/// true return always carries at least one live row. Row-stepping callers
+/// go through sql::Cursor::next, which refills a batch and hands its rows
+/// out one at a time. Operators tolerate nextBatch() after exhaustion and
+/// close() twice.
 ///
 /// The public surface wraps the virtual do*() hooks so EXPLAIN ANALYZE can
 /// account loops/rows/time per operator without touching every subclass.
@@ -242,13 +245,6 @@ class RowOp {
     ++stats_.loops;
     const detail::OpTick tick(stats_);
     doOpen();
-  }
-  bool next(Row& row, std::vector<Value>& keys) {
-    if (!stats_.timed) return doNext(row, keys);
-    const detail::OpTick tick(stats_);
-    const bool ok = doNext(row, keys);
-    if (ok) ++stats_.rows;
-    return ok;
   }
   /// Batch pull. Defined in pipeline.cpp (it feeds the exec metrics).
   bool nextBatch(RowBatch& batch);
@@ -272,11 +268,7 @@ class RowOp {
 
  protected:
   virtual void doOpen() = 0;
-  virtual bool doNext(Row& row, std::vector<Value>& keys) = 0;
-  /// Default adapter: loops doNext() into the batch. Batch-native operators
-  /// (single-table Project/Aggregate, Distinct, Sort, Limit, Gather)
-  /// override it.
-  virtual bool doNextBatch(RowBatch& batch);
+  virtual bool doNextBatch(RowBatch& batch) = 0;
   virtual void doClose() = 0;
   /// Appends this operator's EXPLAIN line(s), children indented below.
   virtual void doDescribe(std::vector<std::string>& lines, int depth) const = 0;
@@ -317,12 +309,6 @@ struct ExecOptions {
   bool invidx = false;
 };
 
-/// Single-table plans stream columnar batches from the scan straight through
-/// Filter/Project/Aggregate; joins keep the row-at-a-time tuple interface
-/// above a batched outer (table 0) side. This predicate also gates the
-/// batch-at-a-time parallel worker loop.
-bool batchEligible(const SelectPlan& plan);
-
 /// Builds the operator tree for `plan`. Only reads page headers (for the
 /// parallel-eligibility gate); does not open any cursor until the root is
 /// open()ed, so it is safe to build for EXPLAIN only.
@@ -337,6 +323,12 @@ void materializePlanSubqueries(Database& db, SelectPlan& plan);
 /// children indented two spaces per level.
 std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
                                          const ExecOptions& opts = {});
+
+/// EXPLAIN ANALYZE: runs the plan to exhaustion with per-operator accounting
+/// armed (under a cursor pin), discards the rows, and returns the annotated
+/// operator tree, one line per operator.
+std::vector<std::string> explainAnalyze(Database& db, SelectPlan& plan,
+                                        const ExecOptions& opts = {});
 
 /// Runs a previously built plan to completion (the thin materializing
 /// wrapper the exec() entry points use). With `analyze` set the plan is

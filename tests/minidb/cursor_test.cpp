@@ -6,6 +6,7 @@
 
 #include "minidb/database.h"
 #include "minidb/sql/executor.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace perftrack::minidb::sql {
@@ -241,6 +242,48 @@ TEST_F(CursorTest, IndexCursorEqualProbeStreamsMatches) {
   }
   EXPECT_EQ(n, 2u);
   EXPECT_EQ(db_->openCursorCount(), 0u);
+}
+
+// --- early close over a large scan --------------------------------------------
+
+/// Page reads of a read-only step: open a cursor on `sql`, take `rows` rows
+/// through next(), close.
+std::uint64_t pageReadsToStep(Engine& sql, const std::string& query, int rows) {
+  obs::Counter& reads = obs::Registry::global().counter("pt_pager_page_reads_total");
+  const std::uint64_t before = reads.value();
+  Cursor cur = sql.openCursor(query);
+  Row row;
+  for (int i = 0; i < rows; ++i) EXPECT_TRUE(cur.next(row));
+  cur.close();
+  return reads.value() - before;
+}
+
+TEST(CursorEarlyClose, RowStepperThatStopsEarlyScansAboutThirtyTwoRows) {
+  // A caller that steps one row and closes (a top-K loop over a cursor)
+  // must not pay for a full batch: the row adapter's first refill asks for
+  // 32 rows, so the scan reads what a 32-row scan reads, not a 1024-row
+  // batch.
+  auto db = Database::openMemory();
+  Engine sql(*db);
+  sql.exec("CREATE TABLE big (id INTEGER PRIMARY KEY, pad TEXT)");
+  PreparedStatement ins = sql.prepare("INSERT INTO big (pad) VALUES (?)");
+  db->begin();
+  for (int i = 0; i < 10000; ++i) ins.execute({Value(std::string(100, 'x'))});
+  db->commit();
+
+  obs::Histogram& fill = obs::Registry::global().histogram("pt_exec_batch_fill_rows");
+  const double fill_before = fill.sumMs();
+  const std::uint64_t one_row = pageReadsToStep(sql, "SELECT id, pad FROM big", 1);
+  // Every batch the pipeline produced for that step: at most 32 rows.
+  EXPECT_LE(fill.sumMs() - fill_before, 32.0);
+
+  const std::uint64_t rows_32 =
+      pageReadsToStep(sql, "SELECT id, pad FROM big LIMIT 32", 32);
+  const std::uint64_t rows_1024 =
+      pageReadsToStep(sql, "SELECT id, pad FROM big LIMIT 1024", 1024);
+  EXPECT_GT(one_row, 0u);
+  EXPECT_LE(one_row, rows_32);
+  EXPECT_LT(one_row * 10, rows_1024);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "dbal/connection.h"
 #include "dbal/remote.h"
 #include "minidb/database.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/net.h"
 #include "server/protocol.h"
@@ -304,6 +305,62 @@ TEST_F(ServerTest, RemoteExplainAnalyzeStreamsAnnotatedPlan) {
   while (plain.next(row)) {
     EXPECT_EQ(row[0].asText().find("actual"), std::string::npos);
   }
+}
+
+TEST_F(ServerTest, RemoteExplainAnalyzeNamesThePostingFallbackReason) {
+  // Server cursors read through a pinned snapshot, which the inverted index
+  // declines; EXPLAIN ANALYZE says so instead of a bare "btree fallback".
+  auto conn = connect();
+  conn->exec("CREATE TABLE m (id INTEGER PRIMARY KEY, grp INTEGER)");
+  conn->exec("CREATE INDEX m_by_grp ON m (grp)");
+  conn->exec("INSERT INTO m (grp) VALUES (1), (2), (3), (1), (2)");
+  auto cur = conn->query("EXPLAIN ANALYZE SELECT id FROM m WHERE grp IN (1, 3)");
+  std::string plan;
+  minidb::Row row;
+  while (cur.next(row)) plan += row[0].asText() + "\n";
+  EXPECT_NE(plan.find("USING POSTING INDEX (grp IN posting-list probe, 2 keys)"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("[btree fallback: snapshot read]"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("actual rows=3 "), std::string::npos) << plan;
+}
+
+TEST_F(ServerTest, RemoteStatementCacheCountsHitsAndMisses) {
+  auto conn = connect();
+  conn->exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+  conn->exec("INSERT INTO t (v) VALUES (10), (20), (30)");
+  obs::Counter& hits = obs::Registry::global().counter("pt_stmt_cache_hits_total");
+  obs::Counter& misses = obs::Registry::global().counter("pt_stmt_cache_misses_total");
+  const dbal::StatementCacheStats before = conn->statementCacheStats();
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
+  auto delta = [&] {
+    const dbal::StatementCacheStats& now = conn->statementCacheStats();
+    return std::make_pair(now.hits - before.hits, now.misses - before.misses);
+  };
+
+  const char* kSql = "SELECT v FROM t WHERE id = ?";
+  EXPECT_EQ(conn->queryInt(kSql, {minidb::Value(1)}), 10);  // first use: miss
+  EXPECT_EQ(delta(), std::make_pair(std::uint64_t{0}, std::uint64_t{1}));
+  EXPECT_EQ(conn->queryInt(kSql, {minidb::Value(2)}), 20);  // repeat: hit
+  EXPECT_EQ(delta(), std::make_pair(std::uint64_t{1}, std::uint64_t{1}));
+
+  // A cursor streams on the cached handle (a hit); a lookup while it is
+  // open prepares a throwaway twin (a miss).
+  auto cur = conn->query(kSql, {minidb::Value(3)});
+  EXPECT_EQ(delta(), std::make_pair(std::uint64_t{2}, std::uint64_t{1}));
+  EXPECT_EQ(conn->queryInt(kSql, {minidb::Value(1)}), 10);
+  EXPECT_EQ(delta(), std::make_pair(std::uint64_t{2}, std::uint64_t{2}));
+  minidb::Row row;
+  ASSERT_TRUE(cur.next(row));
+  EXPECT_EQ(row[0].asInt(), 30);
+  cur.close();
+  EXPECT_EQ(conn->queryInt(kSql, {minidb::Value(2)}), 20);  // free again: hit
+  EXPECT_EQ(delta(), std::make_pair(std::uint64_t{3}, std::uint64_t{2}));
+
+  // The process-wide mirrors moved with the connection's own numbers.
+  EXPECT_EQ(hits.value() - hits_before, 3u);
+  EXPECT_EQ(misses.value() - misses_before, 2u);
 }
 
 TEST(ServerMetricsHttp, EndpointServesPrometheusAndTraces) {
