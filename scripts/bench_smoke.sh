@@ -5,6 +5,9 @@
 #   BENCH_fig3.json   google-benchmark output of bench_fig3_querysession
 #                     (family/total match-count latency, the pr-filter hot
 #                     path, plus the exec-degree {1,2,4,8} thread sweep)
+#   BENCH_diag.json   google-benchmark output of bench_diag (DIFF latency
+#                     over an IRS np=32 pair and an SMG2000 mpiP np=32
+#                     pair, top-K 10 and 0, with statements per DIFF)
 #   BENCH_query_scaling.json
 #                     closure-table ablation plus the morsel-parallel degree
 #                     sweep and the vectorized batch-size sweep
@@ -57,7 +60,7 @@ bench_dir="${1:-$repo_root/build/bench}"
 out_dir="${2:-$bench_dir}"
 mkdir -p "$out_dir"
 
-for bin in bench_fig3_querysession bench_query_scaling bench_table1_ingest bench_durability bench_cursor bench_server bench_obs bench_resource_match; do
+for bin in bench_fig3_querysession bench_diag bench_query_scaling bench_table1_ingest bench_durability bench_cursor bench_server bench_obs bench_resource_match; do
   if [[ ! -x "$bench_dir/$bin" ]]; then
     echo "bench_smoke: $bench_dir/$bin not built" >&2
     exit 1
@@ -94,6 +97,14 @@ PT_METRICS_SNAPSHOT="$out_dir/METRICS_fig3.prom" \
   --benchmark_out="$out_dir/BENCH_fig3.json" \
   --benchmark_out_format=json
 check_snapshot "$out_dir/METRICS_fig3.prom"
+
+echo "== bench_diag (short run) =="
+PT_METRICS_SNAPSHOT="$out_dir/METRICS_diag.prom" \
+  "$bench_dir/bench_diag" \
+  --benchmark_min_time=0.05 \
+  --benchmark_out="$out_dir/BENCH_diag.json" \
+  --benchmark_out_format=json
+check_snapshot "$out_dir/METRICS_diag.prom"
 
 echo "== bench_query_scaling (degree + batch-size sweeps, short run) =="
 PT_SCALING_ROWS=120000 \
@@ -140,4 +151,4 @@ PT_RESOURCE_MATCH_JSON="$out_dir/BENCH_resource_match.json" \
   "$bench_dir/bench_resource_match"
 check_snapshot "$out_dir/METRICS_resource_match.prom"
 
-echo "bench_smoke: wrote $out_dir/BENCH_fig3.json, $out_dir/BENCH_query_scaling.json, $out_dir/BENCH_table1.json, $out_dir/BENCH_durability.json, $out_dir/BENCH_cursor.json, $out_dir/BENCH_server.json, $out_dir/BENCH_obs.json, and $out_dir/BENCH_resource_match.json (plus METRICS_*.prom sidecars)"
+echo "bench_smoke: wrote $out_dir/BENCH_fig3.json, $out_dir/BENCH_diag.json, $out_dir/BENCH_query_scaling.json, $out_dir/BENCH_table1.json, $out_dir/BENCH_durability.json, $out_dir/BENCH_cursor.json, $out_dir/BENCH_server.json, $out_dir/BENCH_obs.json, and $out_dir/BENCH_resource_match.json (plus METRICS_*.prom sidecars)"

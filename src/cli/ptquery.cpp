@@ -22,12 +22,16 @@
 // --timing (first flag) prints the client-observed stage breakdown of the
 // last query — parse/plan/bind/execute spans, rows — to stderr on exit.
 // It reports the same spans for local files and --connect runs (remote
-// spans are marked, and execute covers the streamed fetches).
+// spans are marked, and execute covers the streamed fetches). A diff is a
+// burst of statements, so for diff it prints the diagnosis's own wall time
+// instead (Stats::diff_us, measured where the engine ran: in process, or by
+// the server under --connect).
 #include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -163,17 +167,24 @@ int runSelect(core::PTDataStore& store, const std::vector<std::string>& args) {
 }  // namespace
 
 /// End-of-process stage report for --timing: the destructor prints the last
-/// recorded query span (local executor or remote client, whichever ran) and
-/// the process wall time to stderr, so stdout stays machine-parseable.
+/// recorded query span (local executor or remote client, whichever ran), or
+/// the diagnosis time after a diff, and the process wall time to stderr, so
+/// stdout stays machine-parseable.
 struct TimingReport {
   bool on = false;
   obs::StageTimer wall;
+  std::optional<std::uint64_t> diff_us;  // set by the diff command
+  bool remote = false;
 
   ~TimingReport() {
     if (!on) return;
     const double wall_ms = static_cast<double>(wall.elapsedUs()) / 1000.0;
     const auto t = obs::Tracer::global().last();
-    if (t.has_value()) {
+    if (diff_us.has_value()) {
+      std::fprintf(stderr, "timing:%s diff=%.3fms (wall %.3fms)\n",
+                   remote ? " [remote]" : "",
+                   static_cast<double>(*diff_us) / 1000.0, wall_ms);
+    } else if (t.has_value()) {
       std::fprintf(stderr,
                    "timing:%s parse=%.3fms plan=%.3fms bind=%.3fms "
                    "execute=%.3fms rows=%llu (wall %.3fms)\n",
@@ -311,7 +322,10 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      std::fputs(conn->diff(req).toText().c_str(), stdout);
+      const core::diag::Report report = conn->diff(req);
+      timing_report.diff_us = report.stats.diff_us;
+      timing_report.remote = conn->localDatabase() == nullptr;
+      std::fputs(report.toText().c_str(), stdout);
     } else if (command == "select") {
       return runSelect(store, {argv + 3, argv + argc});
     } else if (command == "session") {

@@ -13,9 +13,14 @@
 // The engine lives below dbal and server (it operates on a
 // minidb::sql::Engine directly), so the same code path backs the local
 // dbal::Connection::diff(), the server's DIFF wire verb, and the CLIs. Its
-// alignment queries are plain indexed SQL with chunked integer IN-lists, so
-// on an invidx-enabled engine the resource/focus joins ride the PR-9
-// posting-list access path automatically.
+// alignment is set-oriented (DESIGN.md §5.10): per side, one results scan
+// on pr_by_exec, one focus-driven link join (focus_by_exec, then
+// prhf_by_focus), one focus-resource join (fhr_by_focus); then one
+// resource-name and one metric-name lookup for both sides. The lookups are
+// padded, prepared IN-lists (core/in_list.h) on the primary keys, which
+// EXPLAIN shows as B-tree multi-point probes (`resource_item__pk (id IN
+// multi-point probe)`), not posting lists. Contexts are built once per
+// distinct focus set and interned, and the sides align on integer keys.
 #pragma once
 
 #include <cstdint>

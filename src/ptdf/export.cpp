@@ -4,6 +4,8 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <utility>
 
 #include "core/in_chunks.h"
 #include "core/typesystem.h"
@@ -34,40 +36,95 @@ const std::set<std::string>& baseTypePaths() {
   return kBase;
 }
 
-/// Emits one resource with its string attributes. Resource-typed attributes
-/// are skipped here; they re-emerge from the constraint table.
-void emitResource(core::PTDataStore& store, Writer& writer,
-                  const core::ResourceInfo& info, ExportStats& stats) {
-  writer.resource(info.full_name, info.type_path);
-  ++stats.resources;
-  for (const core::AttributeInfo& attr : store.attributesOf(info.id)) {
-    if (attr.attr_type == "resource") continue;
-    writer.resourceAttribute(info.full_name, attr.name, attr.value, attr.attr_type);
-    ++stats.attributes;
+/// The distinct ids of `infos`, ascending, for chunked IN-lists.
+std::vector<std::int64_t> sortedIds(const std::vector<core::ResourceInfo>& infos) {
+  std::vector<std::int64_t> ids;
+  ids.reserve(infos.size());
+  for (const core::ResourceInfo& info : infos) ids.push_back(info.id);
+  core::sortUnique(ids);
+  return ids;
+}
+
+/// Emits `infos` in order, each with its string attributes (by name, as
+/// attributesOf() lists them). Resource-typed attributes are skipped here;
+/// they re-emerge from the constraint table. The attributes of the whole
+/// list are fetched in chunked IN-lists, not one statement per resource.
+void emitResources(core::PTDataStore& store, Writer& writer,
+                   const std::vector<core::ResourceInfo>& infos, ExportStats& stats) {
+  const std::vector<std::int64_t> ids = sortedIds(infos);
+  std::unordered_map<std::int64_t, std::vector<core::AttributeInfo>> attributes;
+  core::forEachRowInChunks(
+      store.connection(),
+      "SELECT resource_id, name, value, attr_type FROM resource_attribute "
+      "WHERE resource_id",
+      ids, [&](minidb::Row& row) {
+        attributes[row[0].asInt()].push_back(
+            {row[1].asText(), row[2].asText(), row[3].asText()});
+      });
+  for (const core::ResourceInfo& info : infos) {
+    writer.resource(info.full_name, info.type_path);
+    ++stats.resources;
+    const auto found = attributes.find(info.id);
+    if (found == attributes.end()) continue;
+    std::vector<core::AttributeInfo>& attrs = found->second;
+    // Per resource the rows arrive in scan order; a stable sort by name
+    // orders them exactly as attributesOf()'s ORDER BY name.
+    std::stable_sort(attrs.begin(), attrs.end(),
+                     [](const core::AttributeInfo& x, const core::AttributeInfo& y) {
+                       return x.name < y.name;
+                     });
+    for (const core::AttributeInfo& attr : attrs) {
+      if (attr.attr_type == "resource") continue;
+      writer.resourceAttribute(info.full_name, attr.name, attr.value, attr.attr_type);
+      ++stats.attributes;
+    }
   }
 }
 
+/// Emits the constraints of each of `infos`, in order, each resource's in
+/// constraintsOf() order. One chunked IN-list fetches the constraints of
+/// the whole list and one resourceInfos() call names their targets.
 void emitConstraints(core::PTDataStore& store, Writer& writer,
-                     const core::ResourceInfo& info, ExportStats& stats) {
-  const auto others = store.resourceInfos(store.constraintsOf(info.id));
-  for (const core::ResourceInfo& other : others) {
-    writer.resourceConstraint(info.full_name, other.full_name);
-    ++stats.constraints;
+                     const std::vector<core::ResourceInfo>& infos, ExportStats& stats) {
+  const std::vector<std::int64_t> ids = sortedIds(infos);
+  std::vector<std::pair<std::int64_t, core::ResourceId>> constraints;  // (from, to)
+  core::forEachRowInChunks(
+      store.connection(),
+      "SELECT resource_id1, resource_id2 FROM resource_constraint WHERE resource_id1",
+      ids, [&](minidb::Row& row) {
+        constraints.emplace_back(row[0].asInt(), row[1].asInt());
+      });
+  std::stable_sort(constraints.begin(), constraints.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<core::ResourceId> targets;
+  targets.reserve(constraints.size());
+  for (const auto& [from, to] : constraints) targets.push_back(to);
+  const std::vector<core::ResourceInfo> others = store.resourceInfos(targets);
+  for (const core::ResourceInfo& info : infos) {
+    auto it = std::lower_bound(
+        constraints.begin(), constraints.end(), info.id,
+        [](const auto& c, std::int64_t id) { return c.first < id; });
+    for (; it != constraints.end() && it->first == info.id; ++it) {
+      const core::ResourceInfo& other =
+          others[static_cast<std::size_t>(it - constraints.begin())];
+      writer.resourceConstraint(info.full_name, other.full_name);
+      ++stats.constraints;
+    }
   }
 }
 
-/// Streams `sql` (a query of resource ids) and calls `emit` with the info of
-/// each id, fetched one batch at a time so the exporter's footprint stays
-/// flat in the store size (BENCH_cursor.json measures this).
+/// Streams `sql` (a query of resource ids) and calls `emit` with the infos
+/// of each batch of ids, so the exporter's footprint stays flat in the
+/// store size (BENCH_cursor.json measures this).
 template <typename Emit>
-void forEachResource(core::PTDataStore& store, const std::string& sql, Emit&& emit) {
+void forEachResourceBatch(core::PTDataStore& store, const std::string& sql, Emit&& emit) {
   auto resources = store.connection().query(sql);
   minidb::sql::RowBatch batch;
   while (resources.fetchBatch(batch)) {
     std::vector<core::ResourceId> ids;
     ids.reserve(batch.sel.size());
     for (const std::uint32_t i : batch.sel) ids.push_back(batch.cols[0][i].asInt());
-    for (const core::ResourceInfo& info : store.resourceInfos(ids)) emit(info);
+    emit(store.resourceInfos(ids));
   }
 }
 
@@ -146,11 +203,11 @@ ExportStats exportStore(core::PTDataStore& store, Writer& writer) {
   // straight replay always finds ancestors in place. Two streaming passes
   // over the resource table instead of one materialized list.
   const std::string by_id = "SELECT r.id FROM resource_item r ORDER BY r.id";
-  forEachResource(store, by_id, [&](const core::ResourceInfo& info) {
-    emitResource(store, writer, info, stats);
+  forEachResourceBatch(store, by_id, [&](const std::vector<core::ResourceInfo>& infos) {
+    emitResources(store, writer, infos, stats);
   });
-  forEachResource(store, by_id, [&](const core::ResourceInfo& info) {
-    emitConstraints(store, writer, info, stats);
+  forEachResourceBatch(store, by_id, [&](const std::vector<core::ResourceInfo>& infos) {
+    emitConstraints(store, writer, infos, stats);
   });
 
   for (const std::string& exec : store.executions()) {
@@ -203,7 +260,7 @@ ExportStats exportExecution(core::PTDataStore& store, const std::string& exec_na
     writer.execution(exec_name, *app);
     ++stats.executions;
   }
-  for (const core::ResourceInfo& info : infos) emitResource(store, writer, info, stats);
+  emitResources(store, writer, infos, stats);
   emitResults(store, exec_name, writer, stats);
   return stats;
 }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/metrics.h"
 #include "sim/irs_gen.h"
 #include "sim/machines.h"
 #include "tools/irs_parser.h"
@@ -97,6 +98,28 @@ TEST_F(ExportTest, RoundTripPreservesConstraints) {
   const auto build = copy.findResource("/build-irs-frost-np4-s6");
   ASSERT_TRUE(build.has_value());
   EXPECT_FALSE(copy.constraintsOf(*build).empty());
+}
+
+TEST_F(ExportTest, StatementsGrowWithBatchesNotResources) {
+  // Attributes and constraints are fetched per batch of resources in
+  // chunked IN-lists; one statement per resource for each would cost more
+  // statements than there are resources.
+  obs::Counter& statements = obs::Registry::global().counter("pt_sql_queries_total");
+  std::ostringstream full;
+  Writer full_writer(full);
+  const std::uint64_t before = statements.value();
+  const ExportStats ex = exportStore(store_, full_writer);
+  const std::uint64_t full_statements = statements.value() - before;
+  ASSERT_GT(ex.resources, 50u);
+  EXPECT_LT(full_statements, ex.resources / 2);
+
+  std::ostringstream one;
+  Writer one_writer(one);
+  const std::uint64_t before_one = statements.value();
+  const ExportStats ex_one = exportExecution(store_, store_.executions().at(0), one_writer);
+  // Here the results' chunked fetches dominate; a statement per resource
+  // would still push the total past the resource count.
+  EXPECT_LT(statements.value() - before_one, ex_one.resources);
 }
 
 TEST_F(ExportTest, ExportIntoPopulatedStoreMerges) {
